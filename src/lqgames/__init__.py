@@ -7,8 +7,9 @@ fixed points are stationary equilibria, periodic orbits are periodic
 equilibria, and some orbits stay bounded without ever settling.
 """
 
-from .model import (GainTuple, GameSpec, PTuple, ValidationReport,
-                    pbh_stabilizable, validate_game)
+from .model import (GainTuple, GameSpec, PTuple, TerminalReport,
+                    ValidationReport, pbh_stabilizable, validate_game,
+                    validate_terminal)
 from .riccati import (ConvergenceStop, NoConvergence, NotStabilizable,
                       RecursionTrace, SingularStageSystem, StageSystem,
                       TerminationRecord, assemble_stage_system,
@@ -34,7 +35,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GameSpec", "PTuple", "GainTuple", "ValidationReport", "validate_game",
-    "pbh_stabilizable",
+    "TerminalReport", "validate_terminal", "pbh_stabilizable",
     "StageSystem", "RecursionTrace", "TerminationRecord", "ConvergenceStop",
     "assemble_stage_system", "solve_stage_gains", "riccati_step",
     "run_recursion", "closed_loop", "partial_closed_loop",

@@ -145,18 +145,14 @@ def detect_convergence(trace: RecursionTrace, tol: float = 1e-9,
     step changes (max over agents of ||P_{s+1}^i - P_s^i||_F scaled by
     1 + ||P_s^i||_F) all fall below tol, and returns the state closing
     that window together with s*. Step counts are absolute even when the
-    trace retains only a trailing window.
+    trace retains only a trailing window. The rule is ConvergenceStop's,
+    so a recursion that stopped on it settled `window` steps before its end.
     """
     states = trace.p_states
-    run = 0
+    rule = ConvergenceStop(tol=tol, window=window)
     for s in range(len(states) - 1):
-        if states[s].distance(states[s + 1]) < tol:
-            run += 1
-            if run >= window:
-                start = s + 1 - window
-                return states[s + 1], trace.first_step + start
-        else:
-            run = 0
+        if rule(s + 1, states[s].distance(states[s + 1]), states[s + 1]):
+            return states[s + 1], trace.first_step + s + 1 - window
     return None
 
 
@@ -351,9 +347,13 @@ def classify(game: GameSpec, terminal: PTuple,
              opts: ClassifyOptions | None = None) -> Classification:
     """Run the recursion and name its asymptotic regime.
 
-    Convergence is tested before cycles (a settled trace is never reported
-    as a period-1 cycle); anything bounded that neither detector claims is
-    bounded_nonconvergent. Deterministic for fixed inputs and options.
+    Convergence is read from the termination record: the recursion stops
+    on the ConvergenceStop rule, which is the rule detect_convergence
+    applies, so the trace is not scanned a second time. Convergence comes
+    before cycles (a settled trace is never reported as a period-1 cycle);
+    anything bounded that the cycle detector does not claim is
+    bounded_nonconvergent, with the sup norm over the whole orbit.
+    Deterministic for fixed inputs and options.
     """
     if opts is None:
         opts = ClassifyOptions()
@@ -367,12 +367,10 @@ def classify(game: GameSpec, terminal: PTuple,
     if term.reason == "diverged":
         return Classification(VERDICT_DIVERGED, step=term.steps)
 
-    settled = detect_convergence(trace, tol=opts.conv_tol,
-                                 window=opts.conv_window)
-    if settled is not None:
-        point, steps = settled
-        return Classification(VERDICT_CONVERGED, fixed_point=point,
-                              steps_to_converge=steps)
+    if term.reason == "converged":
+        return Classification(VERDICT_CONVERGED,
+                              fixed_point=trace.final_state(),
+                              steps_to_converge=term.steps - opts.conv_window)
 
     cert = detect_cycle(trace, tol=opts.cycle_tol,
                         max_period=opts.max_period, window=opts.cycle_window,
@@ -381,8 +379,7 @@ def classify(game: GameSpec, terminal: PTuple,
     if cert is not None:
         return Classification(VERDICT_CYCLE, certificate=cert)
 
-    sup = max(p.max_norm() for p in trace.p_states)
-    return Classification(VERDICT_BOUNDED, sup_norm=sup,
+    return Classification(VERDICT_BOUNDED, sup_norm=term.sup_norm,
                           steps_observed=term.steps)
 
 

@@ -23,7 +23,7 @@ from .equilibria import (NoEquilibriumFound, residual_descent_search,
                          scalar_two_agent_equilibria)
 from .experiments import (CensusIncomplete, cycle_census, run_basin_grid,
                           run_ensemble)
-from .model import PTuple, validate_game
+from .model import PTuple, validate_game, validate_terminal
 from .riccati import ConvergenceStop, run_recursion
 from .simulate import simulate
 
@@ -174,11 +174,25 @@ def _load_game(config: RunConfig):
     return fileio.read_game(path)
 
 
-def _load_terminal(config: RunConfig) -> PTuple:
+def _load_terminal(config: RunConfig, game) -> PTuple:
+    """Read the terminal value tuple; a missing, unreadable or invalid one
+    (wrong count or shape, non-finite, not positive definite) is a usage
+    error."""
     path = config.params["terminal"]
     if not Path(path).exists():
         raise UsageError(f"terminal file not found: {path}")
-    return fileio.read_ptuple(path)
+    try:
+        terminal = fileio.read_ptuple(path)
+    except ValueError as err:
+        raise UsageError(f"terminal file {path} is unreadable: {err}")
+    report = validate_terminal(game, terminal)
+    if not report.ok:
+        failures = (report.dimension_failures + report.finiteness_failures
+                    + [f"{name} not positive definite (min eig {v:.3e})"
+                       for name, v in report.definiteness_failures])
+        raise UsageError(f"invalid terminal cost in {path}: "
+                         + "; ".join(failures))
+    return terminal
 
 
 def _parse_cells(text: str) -> list[tuple[int, int, int]]:
@@ -224,7 +238,7 @@ def dispatch(config: RunConfig) -> int:
 
     elif config.command == "run":
         game = _load_game(config)
-        terminal = _load_terminal(config)
+        terminal = _load_terminal(config, game)
         stop = None
         if p["conv-tol"] > 0:
             stop = ConvergenceStop(tol=p["conv-tol"], window=p["conv-window"])
@@ -244,7 +258,7 @@ def dispatch(config: RunConfig) -> int:
 
     elif config.command == "classify":
         game = _load_game(config)
-        terminal = _load_terminal(config)
+        terminal = _load_terminal(config, game)
         opts = ClassifyOptions(horizon=p["horizon"], conv_tol=p["conv-tol"],
                                conv_window=p["conv-window"],
                                cycle_tol=p["cycle-tol"],
@@ -363,7 +377,7 @@ def dispatch(config: RunConfig) -> int:
 
     elif config.command == "simulate":
         game = _load_game(config)
-        terminal = _load_terminal(config)
+        terminal = _load_terminal(config, game)
         T = p["horizon"]
         trace = run_recursion(game, terminal, T)
         if trace.terminated.reason != "completed":

@@ -85,15 +85,24 @@ def write_trace_csv(trace: RecursionTrace, path, provenance=None) -> None:
                    + [f"p_{r}_{c}" for r in range(n) for c in range(n)]
                    + [f"k_{r}_{c}" for r in range(m_max) for c in range(n)])
         k_width = m_max * n
-        for s, p in enumerate(trace.p_states):
-            for i, Pi in enumerate(p):
-                kcols = [""] * k_width
-                if s < len(trace.gains):
-                    flat = trace.gains[s][i].ravel()
-                    kcols[:flat.size] = [repr(float(v)) for v in flat]
-                w.writerow([trace.first_step + s, i]
-                           + [repr(float(v)) for v in np.asarray(Pi).ravel()]
-                           + kcols)
+        w.writerows(_trace_rows(trace, k_width))
+
+
+def _trace_rows(trace: RecursionTrace, k_width: int):
+    gains = trace.gains
+    blank = [""] * k_width
+    for s, p in enumerate(trace.p_states):
+        k = gains[s] if s < len(gains) else None
+        for i, Pi in enumerate(p):
+            row = [trace.first_step + s, i]
+            row += map(repr, Pi.ravel().tolist())
+            if k is None:
+                row += blank
+            else:
+                kcols = list(map(repr, k[i].ravel().tolist()))
+                row += kcols
+                row += blank[len(kcols):]
+            yield row
 
 
 def termination_dict(term: TerminationRecord) -> dict:

@@ -7,6 +7,7 @@ Validation is non-throwing: ``validate_game`` reports every violated
 invariant instead of raising, so arbitrary input can be inspected.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +57,13 @@ def _rel_asymmetry(m: np.ndarray) -> float:
 def symmetrize(m: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto symmetric matrices, (M + M') / 2."""
     return 0.5 * (m + m.T)
+
+
+def frobenius(m: np.ndarray) -> float:
+    """Frobenius norm of a float matrix, bit-identical to np.linalg.norm(m)
+    (the same dot product of the raveled entries) without its dispatch."""
+    v = m.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 class GameSpec:
@@ -117,90 +125,82 @@ class GameSpec:
         return np.hstack(self.B)
 
 
-class PTuple:
+class _MatrixTuple:
+    """Immutable ordered tuple of per-agent float matrices, frozen on entry."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries):
+        object.__setattr__(self, "entries",
+                           tuple(_freeze(self._coerce(e)) for e in entries))
+
+    @classmethod
+    def _trusted(cls, mats):
+        """Wrap freshly computed float matrices that already hold the class
+        invariant (symmetry, for PTuple) without copying or coercing them;
+        they are frozen in place."""
+        for m in mats:
+            m.setflags(write=False)
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "entries", tuple(mats))
+        return obj
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __len__(self):
+        return len(self.entries)
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __getitem__(self, i):
+        return self.entries[i]
+
+    def __repr__(self):
+        shapes = ", ".join(f"{m.shape[0]}x{m.shape[1]}" for m in self.entries)
+        return f"{type(self).__name__}({shapes})"
+
+    def distance(self, other) -> float:
+        """Max over agents of relative Frobenius distance,
+        ||X^i - O^i||_F / (1 + ||X^i||_F)."""
+        return max(frobenius(a - b) / (1.0 + frobenius(a))
+                   for a, b in zip(self.entries, other.entries))
+
+
+class PTuple(_MatrixTuple):
     """Ordered tuple of per-agent symmetric value matrices, one n x n per agent.
 
     Entries are symmetrized on ingestion and frozen.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ()
 
-    def __init__(self, entries):
-        mats = []
-        for e in entries:
-            m = _as_square(e)
-            mats.append(_freeze(symmetrize(m)))
-        object.__setattr__(self, "entries", tuple(mats))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PTuple is immutable")
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __repr__(self):
-        shapes = ", ".join(f"{m.shape[0]}x{m.shape[1]}" for m in self.entries)
-        return f"PTuple({shapes})"
+    @staticmethod
+    def _coerce(e) -> np.ndarray:
+        return symmetrize(_as_square(e))
 
     def norms(self) -> list[float]:
-        return [float(np.linalg.norm(m)) for m in self.entries]
+        return [frobenius(m) for m in self.entries]
 
     def max_norm(self) -> float:
         return max(self.norms())
-
-    def distance(self, other: "PTuple") -> float:
-        """Max over agents of relative Frobenius distance,
-        ||P^i - O^i||_F / (1 + ||P^i||_F)."""
-        return max(
-            float(np.linalg.norm(a - b) / (1.0 + np.linalg.norm(a)))
-            for a, b in zip(self.entries, other.entries)
-        )
 
     def min_eigenvalue(self) -> float:
         return min(float(np.linalg.eigvalsh(m)[0]) for m in self.entries)
 
 
-class GainTuple:
+class GainTuple(_MatrixTuple):
     """Ordered tuple of per-agent feedback gains, one m_i x n per agent.
 
     Gains act through u^i = -K^i x, so the closed loop is A - sum_j B^j K^j.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ()
 
-    def __init__(self, entries):
-        object.__setattr__(
-            self, "entries",
-            tuple(_freeze(np.atleast_2d(np.asarray(e, dtype=float)))
-                  for e in entries))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GainTuple is immutable")
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __repr__(self):
-        shapes = ", ".join(f"{m.shape[0]}x{m.shape[1]}" for m in self.entries)
-        return f"GainTuple({shapes})"
-
-    def distance(self, other: "GainTuple") -> float:
-        return max(
-            float(np.linalg.norm(a - b) / (1.0 + np.linalg.norm(a)))
-            for a, b in zip(self.entries, other.entries)
-        )
+    @staticmethod
+    def _coerce(e) -> np.ndarray:
+        return np.atleast_2d(np.asarray(e, dtype=float))
 
 
 @dataclass
@@ -302,3 +302,45 @@ def validate_game(game: GameSpec) -> ValidationReport:
         dimension_failures=dim_failures,
         symmetry_failures=sym_failures,
     )
+
+
+@dataclass
+class TerminalReport:
+    """Outcome of validate_terminal. ok is true iff every sub-check passed."""
+
+    ok: bool
+    dimension_failures: list[str] = field(default_factory=list)
+    finiteness_failures: list[str] = field(default_factory=list)
+    definiteness_failures: list[tuple[str, float]] = field(default_factory=list)
+
+
+def validate_terminal(game: GameSpec, terminal: PTuple) -> TerminalReport:
+    """Check a terminal value tuple against a game.
+
+    Requires one (n, n) entry per agent, every entry finite, and every
+    entry positive definite at the scale-relative threshold used for Q and
+    R: min eig > DEFINITENESS_TOL * (1 + max eig). Entries are symmetric
+    already (PTuple symmetrizes on ingestion). All failures are reported,
+    never raised.
+    """
+    dim_failures: list[str] = []
+    fin_failures: list[str] = []
+    def_failures: list[tuple[str, float]] = []
+    n = game.n
+    if len(terminal) != game.num_agents:
+        dim_failures.append(
+            f"{len(terminal)} terminal matrices for {game.num_agents} agents")
+    for i, m in enumerate(terminal):
+        name = f"P[{i}]"
+        if m.shape != (n, n):
+            dim_failures.append(f"{name} has shape {m.shape}, expected ({n}, {n})")
+        elif not np.all(np.isfinite(m)):
+            fin_failures.append(f"{name} has non-finite entries")
+        else:
+            eigs = np.linalg.eigvalsh(m)
+            if eigs[0] <= DEFINITENESS_TOL * (1.0 + eigs[-1]):
+                def_failures.append((name, float(eigs[0])))
+    ok = not (dim_failures or fin_failures or def_failures)
+    return TerminalReport(ok=ok, dimension_failures=dim_failures,
+                          finiteness_failures=fin_failures,
+                          definiteness_failures=def_failures)

@@ -15,13 +15,15 @@ what the analysis module classifies (fixed point, cycle, or neither).
 Sign convention: gains act as u^i = -K^i x, so Acl = A - sum_j B^j K^j.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .model import GainTuple, GameSpec, PTuple, pbh_stabilizable, symmetrize
+from .model import (GainTuple, GameSpec, PTuple, frobenius, pbh_stabilizable,
+                    symmetrize)
 
 # Stage solve fails when the reciprocal condition estimate drops below this.
 SINGULARITY_RCOND = 1e-12
@@ -70,12 +72,15 @@ class StageSystem:
 @dataclass
 class TerminationRecord:
     """Why a recursion ended: 'completed', 'converged', 'stopped',
-    'diverged', or 'singular'."""
+    'diverged', or 'singular'. sup_norm is the largest agent Frobenius
+    norm over every state visited, terminal included, also when the trace
+    keeps only a ring buffer."""
 
     reason: str
     steps: int
     final_residual: float
     rcond: float | None = None
+    sup_norm: float | None = None
 
 
 class RecursionTrace:
@@ -118,15 +123,23 @@ class RecursionTrace:
         return [self.gains[horizon - 1 - t] for t in range(horizon)]
 
 
-def assemble_stage_system(p_next: PTuple, game: GameSpec) -> StageSystem:
-    """Build the stacked stage-gain system from next-step value matrices.
+# LAPACK routines for the float64 stage system, fetched once.
+_getrf, _gecon, _getrs = get_lapack_funcs(("getrf", "gecon", "getrs"),
+                                          (np.empty((1, 1)),))
 
-    The reciprocal condition estimate comes from the LAPACK 1-norm
-    estimator on the LU factorization, which the solve then reuses.
+
+def _stage_kernel(p_next: PTuple, game: GameSpec):
+    """Assemble and factor the stacked stage system at p_next.
+
+    Returns (M, rhs, rcond, factor) with factor = (lu, piv), or None and
+    rcond 0 when the factorization fails or M is not finite. The 1-norm
+    is computed as np.linalg.norm(M, 1) computes it.
     """
     dims = game.input_dims
-    total = sum(dims)
-    offsets = np.concatenate(([0], np.cumsum(dims)))
+    offsets = [0]
+    for m in dims:
+        offsets.append(offsets[-1] + m)
+    total = offsets[-1]
     M = np.empty((total, total))
     rhs = np.empty((total, game.n))
     for i, Bi in enumerate(game.B):
@@ -138,16 +151,37 @@ def assemble_stage_system(p_next: PTuple, game: GameSpec) -> StageSystem:
                 block = block + game.R[i]
             M[ri:rj, offsets[j]:offsets[j + 1]] = block
         rhs[ri:rj, :] = PB @ game.A
-    getrf, gecon = get_lapack_funcs(("getrf", "gecon"), (M,))
-    anorm = float(np.linalg.norm(M, 1))
-    lu, piv, info = getrf(M, overwrite_a=False)
-    if info > 0 or not np.isfinite(anorm):
-        rcond, factor = 0.0, None
-    else:
-        rcond = float(gecon(lu, anorm, norm="1")[0])
-        factor = (lu, piv)
-    return StageSystem(M=M, rhs=rhs, rcond_estimate=rcond, input_dims=dims,
-                       _factor=factor)
+    anorm = float(np.add.reduce(np.abs(M), axis=0).max(initial=0.0))
+    lu, piv, info = _getrf(M)            # M itself is left intact
+    if info > 0 or not math.isfinite(anorm):
+        return M, rhs, 0.0, None
+    return M, rhs, float(_gecon(lu, anorm, norm="1")[0]), (lu, piv)
+
+
+def _stage_solve(rhs, rcond: float, factor, dims) -> list[np.ndarray]:
+    """Per-agent gain blocks of the factored stage system (fresh arrays)."""
+    if rcond < SINGULARITY_RCOND or factor is None:
+        raise SingularStageSystem(rcond)
+    stacked, info = _getrs(factor[0], factor[1], rhs)
+    if info != 0:
+        raise SingularStageSystem(rcond)
+    out = []
+    row = 0
+    for m in dims:
+        out.append(np.array(stacked[row:row + m, :]))
+        row += m
+    return out
+
+
+def assemble_stage_system(p_next: PTuple, game: GameSpec) -> StageSystem:
+    """Build the stacked stage-gain system from next-step value matrices.
+
+    The reciprocal condition estimate comes from the LAPACK 1-norm
+    estimator on the LU factorization, which the solve then reuses.
+    """
+    M, rhs, rcond, factor = _stage_kernel(p_next, game)
+    return StageSystem(M=M, rhs=rhs, rcond_estimate=rcond,
+                       input_dims=game.input_dims, _factor=factor)
 
 
 def solve_stage_gains(sys: StageSystem) -> GainTuple:
@@ -156,18 +190,8 @@ def solve_stage_gains(sys: StageSystem) -> GainTuple:
     Raises SingularStageSystem when the system is too ill-conditioned for
     the gains to mean anything.
     """
-    if sys.rcond_estimate < SINGULARITY_RCOND or sys._factor is None:
-        raise SingularStageSystem(sys.rcond_estimate)
-    getrs, = get_lapack_funcs(("getrs",), (sys.M,))
-    stacked, info = getrs(sys._factor[0], sys._factor[1], sys.rhs)
-    if info != 0:
-        raise SingularStageSystem(sys.rcond_estimate)
-    out = []
-    row = 0
-    for m in sys.input_dims:
-        out.append(stacked[row:row + m, :])
-        row += m
-    return GainTuple(out)
+    return GainTuple._trusted(_stage_solve(sys.rhs, sys.rcond_estimate,
+                                           sys._factor, sys.input_dims))
 
 
 def closed_loop(game: GameSpec, gains: GainTuple) -> np.ndarray:
@@ -193,30 +217,33 @@ def riccati_step(p_next: PTuple, game: GameSpec) -> tuple[PTuple, GainTuple]:
     Solves the stage-gain system at p_next, then updates every agent via
     P = Q^i + (K^i)' R^i K^i + Acl' P_next^i Acl and symmetrizes.
     """
-    sys = assemble_stage_system(p_next, game)
-    gains = solve_stage_gains(sys)
+    _, rhs, rcond, factor = _stage_kernel(p_next, game)
+    gains = _stage_solve(rhs, rcond, factor, game.input_dims)
     Acl = closed_loop(game, gains)
     entries = []
-    for i in range(game.num_agents):
-        Ki = gains[i]
-        P = game.Q[i] + Ki.T @ game.R[i] @ Ki + Acl.T @ p_next[i] @ Acl
+    for Ki, Qi, Ri, Pi in zip(gains, game.Q, game.R, p_next.entries):
+        P = Qi + Ki.T @ Ri @ Ki + Acl.T @ Pi @ Acl
         entries.append(symmetrize(P))
-    return PTuple(entries), gains
+    return PTuple._trusted(entries), GainTuple._trusted(gains)
 
 
 class ConvergenceStop:
     """Stop rule firing after `window` consecutive relative step changes
-    below `tol`. Reset and reuse across runs is not supported; make a new
-    instance per recursion."""
+    below `tol`. The run count restarts at step 1, so one instance can be
+    reused across recursions."""
 
     reason = "converged"
 
     def __init__(self, tol: float = 1e-9, window: int = 10):
+        if window < 1:
+            raise ValueError(f"convergence window must be >= 1, got {window}")
         self.tol = tol
         self.window = window
         self._run = 0
 
     def __call__(self, step: int, rel_change: float, p_new: PTuple) -> bool:
+        if step == 1:
+            self._run = 0
         if rel_change < self.tol:
             self._run += 1
         else:
@@ -232,7 +259,8 @@ def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
     runs retain a trailing ring buffer (`keep` overrides its size). Stops
     early on divergence (norm above DIVERGENCE_THRESHOLD), a singular
     stage, or when the stop rule returns True; the termination record says
-    which. Early stops are recorded, never raised.
+    which and carries the sup norm over every state visited, terminal
+    included. Early stops are recorded, never raised.
     """
     if keep is None:
         keep = RING_BUFFER_SIZE
@@ -242,6 +270,10 @@ def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
 
     p = terminal
     states.append(p)
+    # Agent norms of the current state: the next step's distance
+    # denominators, computed once per state.
+    norms = [frobenius(m) for m in p.entries]
+    sup = max(norms)
     reason = "completed"
     rel = float("inf")
     rcond = None
@@ -253,23 +285,27 @@ def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
             reason = "singular"
             rcond = err.rcond
             break
-        rel = p.distance(p_new)
+        new_norms = [frobenius(m) for m in p_new.entries]
+        rel = max(frobenius(a - b) / (1.0 + na)
+                  for a, b, na in zip(p.entries, p_new.entries, norms))
         states.append(p_new)
         gains.append(k)
         steps = s + 1
-        if p_new.max_norm() > DIVERGENCE_THRESHOLD:
+        top = max(new_norms)
+        if top > sup:
+            sup = top
+        p, norms = p_new, new_norms
+        if top > DIVERGENCE_THRESHOLD:
             reason = "diverged"
-            p = p_new
             break
         if stop is not None and stop(steps, rel, p_new):
             reason = getattr(stop, "reason", "stopped")
-            p = p_new
             break
-        p = p_new
 
     record = TerminationRecord(
         reason=reason, steps=steps,
-        final_residual=rel if np.isfinite(rel) else -1.0, rcond=rcond)
+        final_residual=rel if np.isfinite(rel) else -1.0, rcond=rcond,
+        sup_norm=sup)
     first = steps + 1 - len(states)
     return RecursionTrace(states, gains, record, first_step=first)
 

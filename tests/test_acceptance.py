@@ -107,6 +107,7 @@ def test_criterion_4_scalar_ensemble():
     _report("4", f"(converged fraction {frac:.3f}, {elapsed:.0f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_5_regime_monotone_in_state_dimension():
     """Same seed, 1000 trials: convergence at (3,3,2) <= at (1,1,2)."""
     report = lq.run_ensemble([(1, 1, 2), (3, 3, 2)], 1000, master_seed=0)
@@ -116,6 +117,7 @@ def test_criterion_5_regime_monotone_in_state_dimension():
     _report("5", f"(converged {f1:.3f} at n=1 vs {f3:.3f} at n=3)")
 
 
+@pytest.mark.slow
 def test_criterion_6_cycle_census_certification(census_25):
     """Census of 25 certified cycles per cell completes under the cap;
     every certificate meets all four tolerance gates."""
@@ -136,6 +138,7 @@ def test_criterion_6_cycle_census_certification(census_25):
     _report("6", f"(50 certificates, {elapsed:.0f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_7_unstable_phase_inside_stable_cycle(census_25):
     """At least one certified cycle has an unstable phase while the
     period product stays strictly stable."""
@@ -152,6 +155,7 @@ def test_criterion_7_unstable_phase_inside_stable_cycle(census_25):
                  f"in L={period} at {cell})")
 
 
+@pytest.mark.slow
 def test_criterion_8_nonconvergent_regime_with_missed_equilibrium():
     """(2,1,3) ensemble holds bounded non-convergent games, and for one of
     them the residual descent finds a verified equilibrium the recursion

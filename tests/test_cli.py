@@ -207,3 +207,27 @@ def test_output_dir_not_clobbered(tmp_path, fig1_files):
     assert main(["validate", "--game", str(game_path), "--out", str(out)]) == 0
     assert main(["validate", "--game", str(game_path), "--out", str(out)]) == 0
     assert (tmp_path / "out-2").exists()
+
+
+@pytest.mark.parametrize("entries", [[float("nan"), 1.0], [-3.0, 1.0]],
+                         ids=["nan", "indefinite"])
+@pytest.mark.parametrize("command", ["run", "classify", "simulate"])
+def test_bad_terminal_is_usage_error(tmp_path, fig1_files, capsys, command,
+                                     entries):
+    game_path, _ = fig1_files
+    term_path = tmp_path / "bad_terminal.json"
+    fileio.write_ptuple(lq.PTuple(entries), term_path)
+    rc = main([command, "--game", str(game_path), "--terminal",
+               str(term_path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "invalid terminal cost" in err and "P[0]" in err
+
+
+def test_unreadable_terminal_is_usage_error(tmp_path, fig1_files):
+    game_path, _ = fig1_files
+    term_path = tmp_path / "terminal.json"
+    term_path.write_text("{not json")
+    rc = main(["classify", "--game", str(game_path), "--terminal",
+               str(term_path), "--out", str(tmp_path / "o")])
+    assert rc == 2

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -62,6 +63,30 @@ def test_trace_csv_layout(tmp_path, fig1_game):
     assert lines[1].split(",")[:2] == ["step", "agent"]
     # 6 states x 2 agents rows
     assert len(lines) == 2 + 6 * 2
+
+
+def test_trace_csv_round_trip_exact(tmp_path):
+    rng = _rng_for(0, 0, 0)
+    game = random_game(3, 2, 2, rng)
+    trace = lq.run_recursion(game, lq.random_terminal(game, rng), 30)
+    path = tmp_path / "trace.csv"
+    fileio.write_trace_csv(trace, path, {"seed": 0})
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+    header, body = rows[0], rows[1:]
+    assert len(body) == len(trace) * game.num_agents
+    n_p = game.n * game.n
+    for row in body:
+        s, i = int(row[0]), int(row[1])
+        assert [float(v) for v in row[2:2 + n_p]] \
+            == np.asarray(trace.p_states[s][i]).ravel().tolist()
+        kcols = row[2 + n_p:]
+        assert len(kcols) == len(header) - 2 - n_p
+        if s < len(trace.gains):
+            assert [float(v) for v in kcols] \
+                == np.asarray(trace.gains[s][i]).ravel().tolist()
+        else:
+            assert kcols == [""] * len(kcols)
 
 
 def test_termination_json(tmp_path, fig1_game):

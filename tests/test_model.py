@@ -176,3 +176,34 @@ def test_symmetrize_projection():
     s = symmetrize(m)
     assert np.array_equal(s, s.T)
     assert s[0, 1] == pytest.approx(1.0)
+
+
+def test_validate_terminal_accepts_pd_tuple(fig1_game):
+    report = lq.validate_terminal(fig1_game, lq.PTuple([1.0, 2.0]))
+    assert report.ok
+    assert not (report.dimension_failures or report.finiteness_failures
+                or report.definiteness_failures)
+
+
+def test_validate_terminal_reports_every_failure():
+    game = lq.GameSpec(np.eye(2), [np.eye(2), np.eye(2)],
+                       [np.eye(2)] * 2, [np.eye(2)] * 2)
+    wrong_count = lq.validate_terminal(game, lq.PTuple([np.eye(2)]))
+    assert not wrong_count.ok and wrong_count.dimension_failures
+    wrong_shape = lq.validate_terminal(game, lq.PTuple([np.eye(2), 1.0]))
+    assert wrong_shape.dimension_failures == [
+        "P[1] has shape (1, 1), expected (2, 2)"]
+    report = lq.validate_terminal(
+        game, lq.PTuple([np.diag([np.nan, 1.0]), np.diag([1.0, -1.0])]))
+    assert not report.ok
+    assert report.finiteness_failures == ["P[0] has non-finite entries"]
+    assert report.definiteness_failures == [("P[1]", -1.0)]
+
+
+def test_validate_terminal_definiteness_is_scale_relative():
+    tiny = DEFINITENESS_TOL * 1e8 / 2.0
+    bad = lq.PTuple([np.diag([1e8, tiny]), np.eye(2)])
+    game = lq.GameSpec(np.eye(2), [np.eye(2), np.eye(2)],
+                       [np.eye(2)] * 2, [np.eye(2)] * 2)
+    assert not lq.validate_terminal(game, bad).ok
+    assert lq.validate_terminal(game, lq.PTuple([np.eye(2) * 1e-6] * 2)).ok

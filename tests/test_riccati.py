@@ -293,6 +293,38 @@ def test_convergence_stop_requires_consecutive_run():
     assert fired == [False, False, False, False, False, True]
 
 
+def test_convergence_stop_reusable_across_runs(fig1_game):
+    stop = lq.ConvergenceStop()
+    first = lq.run_recursion(fig1_game, lq.PTuple([1.0, 1.0]), 1000,
+                             stop=stop)
+    assert first.terminated.reason == "converged"
+    # restarting from the settled point needs a full window again, exactly
+    # as a fresh instance does
+    again = lq.run_recursion(fig1_game, first.final_state(), 1000, stop=stop)
+    fresh = lq.run_recursion(fig1_game, first.final_state(), 1000,
+                             stop=lq.ConvergenceStop())
+    assert again.terminated.reason == "converged"
+    assert again.steps == fresh.steps == stop.window
+
+
+def test_convergence_stop_rejects_empty_window(fig1_game):
+    with pytest.raises(ValueError, match="window"):
+        lq.ConvergenceStop(window=0)
+    with pytest.raises(ValueError, match="window"):
+        lq.classify(fig1_game, lq.PTuple([1.0, 1.0]),
+                    lq.ClassifyOptions(conv_window=0))
+
+
+def test_termination_record_sup_norm_covers_ring_buffer():
+    # P grows from 1 towards the scalar LQR limit and the sup is reached at
+    # the end, but the terminal state is the largest for a shrinking orbit
+    game = lq.GameSpec(0.9, [1], [1], [1])
+    trace = lq.run_recursion(game, lq.PTuple([50.0]), 11_000)
+    assert trace.first_step > 0
+    assert trace.terminated.sup_norm == 50.0
+    assert max(p.max_norm() for p in trace.p_states) < 50.0
+
+
 # ---------------------------------------------------------------------------
 # single-agent best response
 
