@@ -14,7 +14,8 @@ from .riccati import (ConvergenceStop, NoConvergence, NotStabilizable,
                       RecursionTrace, SingularStageSystem, StageSystem,
                       TerminationRecord, assemble_stage_system,
                       best_response_dare, closed_loop, partial_closed_loop,
-                      riccati_step, run_recursion, solve_stage_gains)
+                      periodic_best_response, riccati_step, run_recursion,
+                      solve_stage_gains)
 from .analysis import (CertificationFailed, Classification, ClassifyOptions,
                        CycleCertificate, NashVerification, classify,
                        detect_convergence, detect_cycle,
@@ -39,8 +40,8 @@ __all__ = [
     "StageSystem", "RecursionTrace", "TerminationRecord", "ConvergenceStop",
     "assemble_stage_system", "solve_stage_gains", "riccati_step",
     "run_recursion", "closed_loop", "partial_closed_loop",
-    "best_response_dare", "SingularStageSystem", "NotStabilizable",
-    "NoConvergence",
+    "best_response_dare", "periodic_best_response", "SingularStageSystem",
+    "NotStabilizable", "NoConvergence",
     "Classification", "ClassifyOptions", "CycleCertificate",
     "NashVerification", "CertificationFailed", "classify",
     "detect_convergence", "detect_cycle", "fixed_point_residual",

@@ -31,10 +31,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import GainTuple, GameSpec, PTuple
-from .riccati import (ConvergenceStop, RecursionTrace, SingularStageSystem,
-                      assemble_stage_system, best_response_dare, closed_loop,
-                      partial_closed_loop, riccati_step, run_recursion,
-                      solve_stage_gains, symmetrize)
+from .riccati import (ConvergenceStop, NoConvergence, RecursionTrace,
+                      SingularStageSystem, assemble_stage_system,
+                      best_response_dare, closed_loop,
+                      periodic_best_response, riccati_step, run_recursion,
+                      solve_stage_gains)
 
 VERDICT_CONVERGED = "converged"
 VERDICT_CYCLE = "cycle"
@@ -210,43 +211,6 @@ def detect_cycle(trace: RecursionTrace, tol: float = 1e-8,
         return None
 
 
-class NoPeriodicSolution(RuntimeError):
-    """The periodic best-response iteration exhausted its sweep budget."""
-
-
-def _periodic_best_response(game: GameSpec, i: int, frozen: list[np.ndarray],
-                            reference: list[np.ndarray], tol: float = 1e-12,
-                            max_sweeps: int = 20_000) -> list[np.ndarray]:
-    """Solve agent i's periodic Riccati recursion against frozen opponents.
-
-    frozen[l] is the residual state matrix at slot l (A minus the other
-    agents' inputs); the backward pass sweeps slots L-1..0 repeatedly from
-    P = Q^i until the per-slot values change by less than tol over a full
-    period. reference supplies the norms used for relative change.
-    """
-    L = len(frozen)
-    Bi, Qi, Ri = game.B[i], game.Q[i], game.R[i]
-    V = Qi.copy()
-    prev = [None] * L
-    for _ in range(max_sweeps):
-        current = [None] * L
-        for l in range(L - 1, -1, -1):
-            Abar = frozen[l]
-            K = np.linalg.solve(Ri + Bi.T @ V @ Bi, Bi.T @ V @ Abar)
-            Acl = Abar - Bi @ K
-            V = symmetrize(Qi + K.T @ Ri @ K + Acl.T @ V @ Acl)
-            current[l] = V
-        if prev[0] is not None:
-            change = max(
-                np.linalg.norm(c - p) / (1.0 + np.linalg.norm(r))
-                for c, p, r in zip(current, prev, reference))
-            if change < tol:
-                return current
-        prev = current
-    raise NoPeriodicSolution(
-        f"periodic best response for agent {i} did not settle")
-
-
 def verify_cycle(phases, game: GameSpec, tol: float = 1e-8,
                  loop_tol: float = 1e-6, br_tol: float = 1e-6,
                  ) -> CycleCertificate:
@@ -304,18 +268,16 @@ def verify_cycle(phases, game: GameSpec, tol: float = 1e-8,
     br_residual = 0.0
     br_failure = None
     for i in range(N):
-        frozen = [partial_closed_loop(game, gains[l], i) for l in range(L)]
-        reference = [phases[l][i] for l in range(L)]
         try:
-            solved = _periodic_best_response(game, i, frozen, reference)
-        except NoPeriodicSolution as err:
+            solved, _ = periodic_best_response(game, i, gains)
+        except (NoConvergence, SingularStageSystem) as err:
             br_failure = str(err)
             break
         for l in range(L):
             br_residual = max(
                 br_residual,
-                float(np.linalg.norm(solved[l] - reference[l])
-                      / (1.0 + np.linalg.norm(reference[l]))))
+                float(np.linalg.norm(solved[l] - phases[l][i])
+                      / (1.0 + np.linalg.norm(phases[l][i]))))
 
     failures = []
     if not residual < tol:
@@ -391,13 +353,13 @@ def nash_verify_stationary(p: PTuple, game: GameSpec,
     not raised), a strictly stable joint closed loop, and every agent's
     independent best-response gain within tol of its stage gain.
     """
-    residual = fixed_point_residual(p, game)
+    image, gains = riccati_step(p, game)
+    residual = p.distance(image)
     if not residual < tol:
         return NashVerification(
             ok=False, precondition_ok=False, fixed_point_residual=residual,
             closed_loop_spectral_radius=float("nan"), tol=tol)
 
-    gains = stage_gains(p, game)
     rho = spectral_radius(closed_loop(game, gains))
     gaps = []
     for i in range(game.num_agents):

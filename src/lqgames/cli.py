@@ -10,6 +10,7 @@ by name. Exit codes: 0 success, 1 domain failure, 2 usage error.
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,6 +27,10 @@ from .experiments import (CensusIncomplete, cycle_census, run_basin_grid,
 from .model import PTuple, validate_game, validate_terminal
 from .riccati import ConvergenceStop, run_recursion
 from .simulate import simulate
+
+# Integer options that count steps or items and must be at least 1.
+_POSITIVE = ("horizon", "conv-window", "max-period", "grid", "trials",
+             "target", "cap", "restarts")
 
 # name -> (type, default, help). None defaults mean "required".
 _COMMON = {
@@ -147,9 +152,15 @@ def parse_config(argv) -> RunConfig:
         if flag_value is not None:
             params[name] = flag_value
         elif name in from_file and from_file[name] is not None:
-            params[name] = typ(from_file[name])
+            try:
+                params[name] = typ(from_file[name])
+            except (TypeError, ValueError):
+                raise UsageError(f"config entry '{name}' is not a {typ.__name__}")
         else:
             params[name] = default
+    for name in _POSITIVE:
+        if name in params and params[name] < 1:
+            raise UsageError(f"--{name} must be at least 1, got {params[name]}")
     for name in ("game", "terminal", "phases"):
         if name in table and table[name][1] is None and params.get(name) is None:
             raise UsageError(f"--{name} is required for '{command}'")
@@ -199,10 +210,24 @@ def _parse_cells(text: str) -> list[tuple[int, int, int]]:
     cells = []
     for chunk in text.split():
         parts = chunk.split(",")
-        if len(parts) != 3:
-            raise UsageError(f"cell '{chunk}' is not an n,m,N triple")
+        if len(parts) != 3 or not all(p.isdecimal() and int(p) > 0
+                                      for p in parts):
+            raise UsageError(
+                f"cell '{chunk}' is not an n,m,N triple of positive integers")
         cells.append(tuple(int(p) for p in parts))
     return cells
+
+
+def _parse_floats(text: str, sep: str, count: int, flag: str) -> list[float]:
+    """Exactly `count` finite numbers separated by sep, else a usage error."""
+    try:
+        values = [float(v) for v in text.split(sep)]
+    except ValueError:
+        values = []
+    if len(values) != count or not all(map(math.isfinite, values)):
+        raise UsageError(f"--{flag} '{text}' is not {count} finite numbers "
+                         f"separated by '{sep}'")
+    return values
 
 
 def _echo(resolved: dict) -> None:
@@ -282,10 +307,12 @@ def dispatch(config: RunConfig) -> int:
 
     elif config.command == "basin":
         game = _load_game(config)
-        lo, _, hi = p["range"].partition(":")
+        q_range = _parse_floats(p["range"], ":", 2, "range")
+        if not 0 <= q_range[0] < q_range[1]:
+            raise UsageError(f"--range '{p['range']}' needs 0 <= lo < hi")
         opts = ClassifyOptions(horizon=p["horizon"])
         basin = run_basin_grid(game, axis_samples=p["grid"],
-                               q_range=(float(lo), float(hi)), opts=opts)
+                               q_range=q_range, opts=opts)
         prov = {"command": "basin", "grid": p["grid"],
                 "range": p["range"], "horizon": p["horizon"]}
         target = out / "basin.csv"
@@ -378,13 +405,13 @@ def dispatch(config: RunConfig) -> int:
     elif config.command == "simulate":
         game = _load_game(config)
         terminal = _load_terminal(config, game)
+        x0 = np.array(_parse_floats(p["x0"], ",", game.n, "x0"))
         T = p["horizon"]
         trace = run_recursion(game, terminal, T)
         if trace.terminated.reason != "completed":
             print(f"recursion ended early: {trace.terminated.reason}",
                   file=sys.stderr)
             return 1
-        x0 = np.array([float(v) for v in p["x0"].split(",")])
         traj = simulate(game, trace.forward_gains(T), x0, T, seed=p["seed"])
         prov = {"command": "simulate", "horizon": T, "seed": p["seed"]}
         target = out / "trajectory.csv"

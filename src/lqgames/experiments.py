@@ -11,17 +11,17 @@ and random terminal costs as G G' + 0.1 I with G standard normal - the
 where m is the common per-agent input dimension.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import (ClassifyOptions, CycleCertificate, VERDICT_BOUNDED,
-                       VERDICT_CONVERGED, VERDICT_CYCLE, VERDICT_DIVERGED,
-                       VERDICT_SINGULAR, classify, spectral_radius)
+from .analysis import (ClassifyOptions, VERDICT_BOUNDED, VERDICT_CONVERGED,
+                       VERDICT_CYCLE, VERDICT_DIVERGED, VERDICT_SINGULAR,
+                       classify)
 from .equilibria import (EquilibriumSet, _newton_polish, _scalar_params,
                          scalar_two_agent_equilibria)
 from .model import GameSpec, PTuple, validate_game
-from .riccati import RecursionTrace, closed_loop
 
 VERDICTS = (VERDICT_CONVERGED, VERDICT_CYCLE, VERDICT_BOUNDED,
             VERDICT_DIVERGED, VERDICT_SINGULAR)
@@ -118,16 +118,20 @@ def run_basin_grid(game: GameSpec, axis_samples: int = 100,
     endpoint is excluded), labels converged cells by the nearest known
     equilibrium, and records steps to converge. Converged fixed points are
     Newton-polished before matching so labels do not depend on how slowly
-    a boundary cell settled.
+    a boundary cell settled. Raises ValueError unless the range is finite
+    with 0 <= lo < hi, so every terminal cost is positive definite.
     """
     if game.n != 1 or game.num_agents != 2:
         raise ValueError("basin mapping requires n = 1 and two agents")
+    lo, hi = q_range
+    if not (math.isfinite(hi) and 0 <= lo < hi):
+        raise ValueError(f"terminal-cost range {q_range} needs finite "
+                         "0 <= lo < hi")
     if opts is None:
         opts = ClassifyOptions()
     if equilibria is None:
         equilibria = scalar_two_agent_equilibria(game)
     params = _scalar_params(game)
-    lo, hi = q_range
     axis = np.linspace(lo, hi, axis_samples + 1)[1:]
 
     cells = []
@@ -268,58 +272,3 @@ def cycle_census(cells, target: int, master_seed: int,
                 found += 1
         census.cells[(n, m, N)] = cc
     return census
-
-
-# ---------------------------------------------------------------------------
-# Single-trace exports
-
-def trace_gain_series(trace: RecursionTrace):
-    """Rows (step, agent, row, col, gain value) over a trace."""
-    rows = []
-    for s, k in enumerate(trace.gains):
-        for i, Ki in enumerate(k):
-            for r in range(Ki.shape[0]):
-                for c in range(Ki.shape[1]):
-                    rows.append((trace.first_step + s, i, r, c,
-                                 float(Ki[r, c])))
-    return rows
-
-
-def trace_value_series(trace: RecursionTrace, game: GameSpec):
-    """Per-step Frobenius distance to the first stored state (one row per
-    step and agent) and closed-loop spectral radius (one row per step)."""
-    ref = trace.p_states[0]
-    diff_rows = []
-    for s, p in enumerate(trace.p_states):
-        for i in range(game.num_agents):
-            d = float(np.linalg.norm(np.asarray(p[i]) - np.asarray(ref[i])))
-            diff_rows.append((trace.first_step + s, i, d))
-    rho_rows = []
-    for s, k in enumerate(trace.gains):
-        rho_rows.append((trace.first_step + s,
-                         spectral_radius(closed_loop(game, k))))
-    return diff_rows, rho_rows
-
-
-def certificate_series(cert: CycleCertificate, game: GameSpec,
-                       periods: int = 4):
-    """Unroll a cycle certificate into the same series as a trace, for
-    `periods` repetitions of the loop."""
-    L = cert.period
-    ref = cert.phases[0]
-    diff_rows = []
-    rho_rows = []
-    for s in range(periods * L):
-        p = cert.phases[s % L]
-        for i in range(game.num_agents):
-            d = float(np.linalg.norm(np.asarray(p[i]) - np.asarray(ref[i])))
-            diff_rows.append((s, i, d))
-        rho_rows.append((s, cert.phase_spectral_radii[s % L]))
-    gain_rows = []
-    for s in range(periods * L):
-        k = cert.gains[s % L]
-        for i, Ki in enumerate(k):
-            for r in range(Ki.shape[0]):
-                for c in range(Ki.shape[1]):
-                    gain_rows.append((s, i, r, c, float(Ki[r, c])))
-    return diff_rows, rho_rows, gain_rows

@@ -13,8 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (Classification, CycleCertificate, NashVerification,
-                       spectral_radius)
+from .analysis import Classification, CycleCertificate, spectral_radius
 from .equilibria import EquilibriumSet
 from .experiments import BasinMap, CycleCensus, EnsembleReport, VERDICTS
 from .model import GameSpec, PTuple
@@ -119,17 +118,6 @@ def write_termination_json(term: TerminationRecord, path,
     if extra:
         doc.update(extra)
     Path(path).write_text(json.dumps(doc, indent=1))
-
-
-def nash_verification_dict(rep: NashVerification) -> dict:
-    return {
-        "ok": rep.ok,
-        "precondition_ok": rep.precondition_ok,
-        "fixed_point_residual": rep.fixed_point_residual,
-        "closed_loop_spectral_radius": rep.closed_loop_spectral_radius,
-        "best_response_gaps": rep.best_response_gaps,
-        "tol": rep.tol,
-    }
 
 
 def certificate_dict(cert: CycleCertificate) -> dict:
@@ -282,6 +270,44 @@ def write_series_csv(rows, header, path, provenance=None) -> None:
             w.writerow([repr(v) if isinstance(v, float) else v for v in row])
 
 
+def trace_gain_series(trace: RecursionTrace):
+    """Rows (step, agent, row, col, gain value) over a trace."""
+    rows = []
+    for s, k in enumerate(trace.gains):
+        for i, Ki in enumerate(k):
+            for r in range(Ki.shape[0]):
+                for c in range(Ki.shape[1]):
+                    rows.append((trace.first_step + s, i, r, c,
+                                 float(Ki[r, c])))
+    return rows
+
+
+def trace_value_series(trace: RecursionTrace, game: GameSpec):
+    """Per-step Frobenius distance to the first stored state (one row per
+    step and agent) and closed-loop spectral radius (one row per step)."""
+    ref = trace.p_states[0]
+    diff_rows = []
+    for s, p in enumerate(trace.p_states):
+        for i in range(game.num_agents):
+            d = float(np.linalg.norm(np.asarray(p[i]) - np.asarray(ref[i])))
+            diff_rows.append((trace.first_step + s, i, d))
+    rho_rows = []
+    for s, k in enumerate(trace.gains):
+        rho_rows.append((trace.first_step + s,
+                         spectral_radius(closed_loop(game, k))))
+    return diff_rows, rho_rows
+
+
+def certificate_trace(cert: CycleCertificate, periods: int = 4) -> RecursionTrace:
+    """A cycle certificate's loop unrolled `periods` times in loop order:
+    state s is phase s mod L and gain s the gain tuple applied moving
+    into it."""
+    return RecursionTrace(
+        list(cert.phases) * periods, list(cert.gains) * periods,
+        TerminationRecord("completed", periods * cert.period,
+                          cert.cycle_residual))
+
+
 def export_trace_figures(trace_or_cert, game: GameSpec, out_dir,
                          provenance: dict | None = None) -> list:
     """Emit the plot-ready series for a trace or a cycle certificate.
@@ -292,21 +318,15 @@ def export_trace_figures(trace_or_cert, game: GameSpec, out_dir,
     of the closed loop). Certificates are unrolled over four periods.
     Returns the written paths.
     """
-    from pathlib import Path
-
-    from .experiments import (certificate_series, trace_gain_series,
-                              trace_value_series)
-
+    trace = trace_or_cert
+    if isinstance(trace, CycleCertificate):
+        trace = certificate_trace(trace)
+    elif not isinstance(trace, RecursionTrace):
+        raise TypeError("expected a RecursionTrace or a CycleCertificate")
+    diff_rows, rho_rows = trace_value_series(trace, game)
+    gain_rows = trace_gain_series(trace)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if isinstance(trace_or_cert, CycleCertificate):
-        diff_rows, rho_rows, gain_rows = certificate_series(
-            trace_or_cert, game)
-    elif isinstance(trace_or_cert, RecursionTrace):
-        diff_rows, rho_rows = trace_value_series(trace_or_cert, game)
-        gain_rows = trace_gain_series(trace_or_cert)
-    else:
-        raise TypeError("expected a RecursionTrace or a CycleCertificate")
     paths = []
     for rows, header, name in (
             (gain_rows, ["step", "agent", "row", "col", "value"],

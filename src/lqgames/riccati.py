@@ -128,29 +128,29 @@ _getrf, _gecon, _getrs = get_lapack_funcs(("getrf", "gecon", "getrs"),
                                           (np.empty((1, 1)),))
 
 
-def _stage_kernel(p_next: PTuple, game: GameSpec):
-    """Assemble and factor the stacked stage system at p_next.
+def _stage_kernel(A, B, R, P):
+    """Assemble and factor the stacked stage system of the game (A, B, R)
+    at next-step values P (one matrix per agent).
 
     Returns (M, rhs, rcond, factor) with factor = (lu, piv), or None and
     rcond 0 when the factorization fails or M is not finite. The 1-norm
     is computed as np.linalg.norm(M, 1) computes it.
     """
-    dims = game.input_dims
     offsets = [0]
-    for m in dims:
-        offsets.append(offsets[-1] + m)
+    for Bi in B:
+        offsets.append(offsets[-1] + Bi.shape[1])
     total = offsets[-1]
     M = np.empty((total, total))
-    rhs = np.empty((total, game.n))
-    for i, Bi in enumerate(game.B):
-        PB = Bi.T @ p_next[i]          # (m_i, n), reused across blocks
+    rhs = np.empty((total, A.shape[0]))
+    for i, Bi in enumerate(B):
+        PB = Bi.T @ P[i]               # (m_i, n), reused across blocks
         ri, rj = offsets[i], offsets[i + 1]
-        for j, Bj in enumerate(game.B):
+        for j, Bj in enumerate(B):
             block = PB @ Bj
             if i == j:
-                block = block + game.R[i]
+                block = block + R[i]
             M[ri:rj, offsets[j]:offsets[j + 1]] = block
-        rhs[ri:rj, :] = PB @ game.A
+        rhs[ri:rj, :] = PB @ A
     anorm = float(np.add.reduce(np.abs(M), axis=0).max(initial=0.0))
     lu, piv, info = _getrf(M)            # M itself is left intact
     if info > 0 or not math.isfinite(anorm):
@@ -173,13 +173,39 @@ def _stage_solve(rhs, rcond: float, factor, dims) -> list[np.ndarray]:
     return out
 
 
+def _closed_loop(A, B, K) -> np.ndarray:
+    """A - sum_j B[j] K[j] as a fresh array."""
+    Acl = A.copy()
+    for Bj, Kj in zip(B, K):
+        Acl -= Bj @ Kj
+    return Acl
+
+
+def _stage_map(A, B, Q, R, P):
+    """The stage map of the game (A, B, Q, R) at next-step values P.
+
+    Solves the stacked stage system for the gains K, then updates every
+    agent through Q^i + (K^i)' R^i K^i + Acl' P^i Acl and symmetrizes.
+    Returns (values, gains) as lists of fresh arrays; raises
+    SingularStageSystem when the stage system is too ill-conditioned.
+    """
+    _, rhs, rcond, factor = _stage_kernel(A, B, R, P)
+    gains = _stage_solve(rhs, rcond, factor, [Bi.shape[1] for Bi in B])
+    Acl = _closed_loop(A, B, gains)
+    values = []
+    for Ki, Qi, Ri, Pi in zip(gains, Q, R, P):
+        values.append(symmetrize(Qi + Ki.T @ Ri @ Ki + Acl.T @ Pi @ Acl))
+    return values, gains
+
+
 def assemble_stage_system(p_next: PTuple, game: GameSpec) -> StageSystem:
     """Build the stacked stage-gain system from next-step value matrices.
 
     The reciprocal condition estimate comes from the LAPACK 1-norm
     estimator on the LU factorization, which the solve then reuses.
     """
-    M, rhs, rcond, factor = _stage_kernel(p_next, game)
+    M, rhs, rcond, factor = _stage_kernel(game.A, game.B, game.R,
+                                          p_next.entries)
     return StageSystem(M=M, rhs=rhs, rcond_estimate=rcond,
                        input_dims=game.input_dims, _factor=factor)
 
@@ -196,19 +222,13 @@ def solve_stage_gains(sys: StageSystem) -> GainTuple:
 
 def closed_loop(game: GameSpec, gains: GainTuple) -> np.ndarray:
     """Joint closed-loop matrix A - sum_j B^j K^j."""
-    Acl = game.A.copy()
-    for Bj, Kj in zip(game.B, gains):
-        Acl -= Bj @ Kj
-    return Acl
+    return _closed_loop(game.A, game.B, gains)
 
 
 def partial_closed_loop(game: GameSpec, gains: GainTuple, i: int) -> np.ndarray:
     """Closed loop with agent i's input removed: A - sum_{j != i} B^j K^j."""
-    Acl = game.A.copy()
-    for j, (Bj, Kj) in enumerate(zip(game.B, gains)):
-        if j != i:
-            Acl -= Bj @ Kj
-    return Acl
+    return _closed_loop(game.A, game.B[:i] + game.B[i + 1:],
+                        gains[:i] + gains[i + 1:])
 
 
 def riccati_step(p_next: PTuple, game: GameSpec) -> tuple[PTuple, GainTuple]:
@@ -217,14 +237,9 @@ def riccati_step(p_next: PTuple, game: GameSpec) -> tuple[PTuple, GainTuple]:
     Solves the stage-gain system at p_next, then updates every agent via
     P = Q^i + (K^i)' R^i K^i + Acl' P_next^i Acl and symmetrizes.
     """
-    _, rhs, rcond, factor = _stage_kernel(p_next, game)
-    gains = _stage_solve(rhs, rcond, factor, game.input_dims)
-    Acl = closed_loop(game, gains)
-    entries = []
-    for Ki, Qi, Ri, Pi in zip(gains, game.Q, game.R, p_next.entries):
-        P = Qi + Ki.T @ Ri @ Ki + Acl.T @ Pi @ Acl
-        entries.append(symmetrize(P))
-    return PTuple._trusted(entries), GainTuple._trusted(gains)
+    values, gains = _stage_map(game.A, game.B, game.Q, game.R,
+                               p_next.entries)
+    return PTuple._trusted(values), GainTuple._trusted(gains)
 
 
 class ConvergenceStop:
@@ -310,38 +325,57 @@ def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
     return RecursionTrace(states, gains, record, first_step=first)
 
 
+def periodic_best_response(game: GameSpec, i: int, gain_cycle,
+                           tol: float = 1e-12, max_steps: int = 100_000,
+                           ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Agent i's periodic Riccati solution against a frozen gain cycle.
+
+    gain_cycle[l] is the gain tuple played at slot l (entry i is ignored).
+    Slot l's value is the stage map of agent i's single-agent game
+    (A - sum_{j != i} B^j K^j_l, B^i, Q^i, R^i) at slot l+1's value
+    (cyclically). Sweeps slots L-1..0 from Q^i until no slot's value moves
+    by tol relative to 1 + its previous norm, and returns the per-slot
+    values and the gains at them; L = 1 is the DARE. Raises NoConvergence,
+    naming the agent, after max_steps stage steps.
+    """
+    L = len(gain_cycle)
+    frozen = [partial_closed_loop(game, k, i) for k in gain_cycle]
+    B, Q, R = (game.B[i],), (game.Q[i],), (game.R[i],)
+    V = [game.Q[i]] * L
+    for _ in range(max_steps // L):
+        prev = list(V)
+        for l in range(L - 1, -1, -1):
+            (V[l],), _ = _stage_map(frozen[l], B, Q, R, (V[(l + 1) % L],))
+        change = max(frobenius(v - p) / (1.0 + frobenius(p))
+                     for v, p in zip(V, prev))
+        if change < tol:
+            gains = [_stage_map(frozen[l], B, Q, R, (V[(l + 1) % L],))[1][0]
+                     for l in range(L)]
+            return V, gains
+    raise NoConvergence(
+        f"periodic best response for agent {i} did not settle in "
+        f"{max_steps} stage steps")
+
+
 def best_response_dare(game: GameSpec, i: int, others: GainTuple | None,
                        tol: float = 1e-12, max_iter: int = 100_000,
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Single-agent stabilizing Riccati solution against frozen opponents.
 
     Freezes every other agent's gain (entry i of `others` is ignored;
-    None means all opponents play zero), forms the residual state matrix
-    Abar = A - sum_{j != i} B^j K^j, and solves agent i's discrete
-    algebraic Riccati equation with (Abar, B^i, Q^i, R^i) by fixed-point
-    iteration from P = Q^i. Returns (P_i, K_i) with the closed loop
-    Abar - B^i K_i strictly stable.
+    None means all opponents play zero) and solves agent i's discrete
+    algebraic Riccati equation with (Abar, B^i, Q^i, R^i), Abar = A -
+    sum_{j != i} B^j K^j: the period-one periodic_best_response, iterated
+    from P = Q^i. Returns (P_i, K_i) with the closed loop Abar - B^i K_i
+    strictly stable.
 
     Raises NotStabilizable when (Abar, B^i) fails the PBH test and
-    NoConvergence when the iteration budget runs out.
+    NoConvergence when the budget of max_iter stage steps runs out.
     """
     if others is None:
         others = GainTuple([np.zeros((m, game.n)) for m in game.input_dims])
-    Abar = partial_closed_loop(game, others, i)
-    Bi = game.B[i]
-    if not pbh_stabilizable(Abar, Bi):
+    if not pbh_stabilizable(partial_closed_loop(game, others, i), game.B[i]):
         raise NotStabilizable(
             f"agent {i}: residual closed loop not stabilizable through B^{i}")
-    Qi, Ri = game.Q[i], game.R[i]
-    P = Qi.copy()
-    for _ in range(max_iter):
-        K = np.linalg.solve(Ri + Bi.T @ P @ Bi, Bi.T @ P @ Abar)
-        Acl = Abar - Bi @ K
-        P_new = symmetrize(Qi + K.T @ Ri @ K + Acl.T @ P @ Acl)
-        change = np.linalg.norm(P_new - P) / (1.0 + np.linalg.norm(P))
-        P = P_new
-        if change < tol:
-            K = np.linalg.solve(Ri + Bi.T @ P @ Bi, Bi.T @ P @ Abar)
-            return P, K
-    raise NoConvergence(
-        f"best response for agent {i} did not settle in {max_iter} iterations")
+    (P,), (K,) = periodic_best_response(game, i, [others], tol, max_iter)
+    return P, K

@@ -231,3 +231,33 @@ def test_unreadable_terminal_is_usage_error(tmp_path, fig1_files):
     rc = main(["classify", "--game", str(game_path), "--terminal",
                str(term_path), "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["ensemble", "--cells", "1,1,x"],
+    ["ensemble", "--cells", "0,1,2"],
+    ["ensemble", "--trials", "-3"],
+    ["census", "--target", "0"],
+    ["run", "--horizon", "-5"],
+    ["simulate", "--x0", "1,2"],
+    ["simulate", "--x0", "x"],
+], ids=["cell-not-int", "cell-zero", "trials-negative", "target-zero",
+        "horizon-negative", "x0-length", "x0-not-numeric"])
+def test_malformed_numbers_are_usage_errors(tmp_path, fig1_files, capsys,
+                                            args):
+    game_path, term_path = fig1_files
+    files = ["--game", str(game_path), "--terminal", str(term_path)]
+    rc = main(args + (files if args[0] in ("run", "simulate") else [])
+              + ["--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["-5:1", "5:1", "30", "0.3:inf"])
+def test_basin_range_must_be_positive_interval(tmp_path, fig1_files, capsys,
+                                               text):
+    game_path, _ = fig1_files
+    rc = main(["basin", "--game", str(game_path), "--grid", "2",
+               f"--range={text}", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "--range" in capsys.readouterr().err

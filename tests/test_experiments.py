@@ -3,9 +3,9 @@ import pytest
 
 import lqgames as lq
 from lqgames.analysis import ClassifyOptions
-from lqgames.experiments import (_rng_for, certificate_series, random_game,
-                                 random_terminal, trace_gain_series,
-                                 trace_value_series)
+from lqgames.experiments import _rng_for, random_game, random_terminal
+from lqgames.fileio import (certificate_trace, trace_gain_series,
+                            trace_value_series)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +144,15 @@ def test_classify_at_equilibrium_converges_fast(fig1_game, fig1_equilibria):
         assert verdict.steps_to_converge <= opts.conv_window
 
 
+@pytest.mark.parametrize("q_range", [(-5.0, 1.0), (5.0, 1.0), (1.0, 1.0),
+                                     (0.3, float("inf")),
+                                     (float("nan"), 1.0)])
+def test_basin_grid_rejects_bad_range(fig1_game, fig1_equilibria, q_range):
+    with pytest.raises(ValueError, match="0 <= lo < hi"):
+        lq.run_basin_grid(fig1_game, axis_samples=2, q_range=q_range,
+                          equilibria=fig1_equilibria)
+
+
 # ---------------------------------------------------------------------------
 # trace/certificate series
 
@@ -160,7 +169,9 @@ def test_trace_series_fixed_point(fig1_game, fig1_equilibria):
 def test_certificate_series_periodicity(found_cycle):
     game, _, cert = found_cycle
     L = cert.period
-    diff_rows, rho_rows, gain_rows = certificate_series(cert, game, periods=3)
+    trace = certificate_trace(cert, periods=3)
+    diff_rows, rho_rows = trace_value_series(trace, game)
+    gain_rows = trace_gain_series(trace)
     diffs = {}
     for step, agent, value in diff_rows:
         diffs.setdefault(agent, []).append(value)

@@ -378,6 +378,36 @@ def test_best_response_verifies_fig1_fixed_point(fig1_game):
         assert np.linalg.norm(Ki - gains[i]) < 1e-6
 
 
+def test_periodic_best_response_replicated_equilibrium_is_dare(
+        fig1_game, fig1_equilibria):
+    # L copies of a stationary equilibrium's gains: every slot solves the
+    # same DARE, so each slot carries best_response_dare's solution
+    for pt in fig1_equilibria:
+        for i in range(2):
+            P, K = lq.best_response_dare(fig1_game, i, pt.gains)
+            values, gains = lq.periodic_best_response(fig1_game, i,
+                                                      [pt.gains] * 3)
+            assert len(values) == len(gains) == 3
+            for V, Kl in zip(values, gains):
+                assert np.allclose(V, P, rtol=1e-10, atol=1e-12)
+                assert np.allclose(Kl, K, rtol=1e-10, atol=1e-12)
+
+
+def test_periodic_best_response_reproduces_certified_cycle(found_cycle):
+    game, _, cert = found_cycle
+    for i in range(game.num_agents):
+        values, _ = lq.periodic_best_response(game, i, cert.gains)
+        for V, phase in zip(values, cert.phases):
+            rel = np.linalg.norm(V - phase[i]) / (1 + np.linalg.norm(phase[i]))
+            assert rel < 1e-10
+
+
+def test_periodic_best_response_budget_names_agent(found_cycle):
+    game, _, cert = found_cycle
+    with pytest.raises(lq.NoConvergence, match="agent 1"):
+        lq.periodic_best_response(game, 1, cert.gains, max_steps=2)
+
+
 def test_single_agent_recursion_matches_dare_oracle():
     # with one agent the recursion must converge to the unique solution
     # of the algebraic Riccati equation for any terminal cost
