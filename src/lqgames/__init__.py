@@ -11,16 +11,14 @@ from .model import (GainTuple, GameSpec, PTuple, TerminalReport,
                     ValidationReport, pbh_stabilizable, validate_game,
                     validate_terminal)
 from .riccati import (ConvergenceStop, NoConvergence, NotStabilizable,
-                      RecursionTrace, SingularStageSystem, StageSystem,
-                      TerminationRecord, assemble_stage_system,
+                      RecursionTrace, SingularStageSystem, TerminationRecord,
                       best_response_dare, closed_loop, partial_closed_loop,
-                      periodic_best_response, riccati_step, run_recursion,
-                      solve_stage_gains)
+                      periodic_best_response, riccati_step, run_recursion)
 from .analysis import (CertificationFailed, Classification, ClassifyOptions,
                        CycleCertificate, NashVerification, classify,
                        detect_convergence, detect_cycle,
                        fixed_point_residual, nash_verify_stationary,
-                       spectral_radius, stage_gains, verify_cycle)
+                       spectral_radius, verify_cycle)
 from .equilibria import (EquilibriumPoint, EquilibriumSet, NoEquilibriumFound,
                          residual_descent_search, scalar_two_agent_equilibria)
 from .simulate import (DeviationReport, Trajectory, deviation_test,
@@ -37,16 +35,14 @@ __version__ = "0.1.0"
 __all__ = [
     "GameSpec", "PTuple", "GainTuple", "ValidationReport", "validate_game",
     "TerminalReport", "validate_terminal", "pbh_stabilizable",
-    "StageSystem", "RecursionTrace", "TerminationRecord", "ConvergenceStop",
-    "assemble_stage_system", "solve_stage_gains", "riccati_step",
+    "RecursionTrace", "TerminationRecord", "ConvergenceStop", "riccati_step",
     "run_recursion", "closed_loop", "partial_closed_loop",
     "best_response_dare", "periodic_best_response", "SingularStageSystem",
     "NotStabilizable", "NoConvergence",
     "Classification", "ClassifyOptions", "CycleCertificate",
     "NashVerification", "CertificationFailed", "classify",
     "detect_convergence", "detect_cycle", "fixed_point_residual",
-    "nash_verify_stationary", "spectral_radius", "stage_gains",
-    "verify_cycle",
+    "nash_verify_stationary", "spectral_radius", "verify_cycle",
     "EquilibriumPoint", "EquilibriumSet", "NoEquilibriumFound",
     "scalar_two_agent_equilibria", "residual_descent_search",
     "Trajectory", "DeviationReport", "simulate", "finite_horizon_cost",

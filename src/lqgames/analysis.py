@@ -30,18 +30,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import GainTuple, GameSpec, PTuple
+from .model import GainTuple, GameSpec, PTuple, validate_terminal
 from .riccati import (ConvergenceStop, NoConvergence, RecursionTrace,
-                      SingularStageSystem, assemble_stage_system,
-                      best_response_dare, closed_loop,
-                      periodic_best_response, riccati_step, run_recursion,
-                      solve_stage_gains)
+                      SingularStageSystem, best_response_dare, closed_loop,
+                      periodic_best_response, riccati_step, run_recursion)
 
 VERDICT_CONVERGED = "converged"
 VERDICT_CYCLE = "cycle"
 VERDICT_BOUNDED = "bounded_nonconvergent"
 VERDICT_DIVERGED = "diverged"
 VERDICT_SINGULAR = "singular"
+
+# Cycle detection needs CYCLE_WINDOW * L consecutive matched steps.
+CYCLE_WINDOW = 3
+# Certificate tolerances: orbit residual, loop identity, periodic best
+# responses (all relative).
+CERT_TOL = 1e-8
+LOOP_TOL = 1e-6
+BR_TOL = 1e-6
 
 
 class CertificationFailed(RuntimeError):
@@ -102,22 +108,20 @@ class ClassifyOptions:
     conv_tol: float = 1e-9
     conv_window: int = 10
     cycle_tol: float = 1e-8
-    cycle_window: int = 3       # matched steps per period: window * L
     max_period: int = 100
-    cert_tol: float = 1e-8
-    loop_tol: float = 1e-6
-    br_tol: float = 1e-6
 
 
 @dataclass
 class NashVerification:
     """Stationary-equilibrium check: stable closed loop plus per-agent
-    best-response gain gaps below tolerance."""
+    best-response gain gaps below tolerance. gains is the stage-gain
+    tuple at the checked point."""
 
     ok: bool
     precondition_ok: bool
     fixed_point_residual: float
     closed_loop_spectral_radius: float
+    gains: GainTuple
     best_response_gaps: list[float] = field(default_factory=list)
     tol: float = 1e-8
 
@@ -125,11 +129,6 @@ class NashVerification:
 def spectral_radius(M: np.ndarray) -> float:
     """Largest eigenvalue magnitude of a square matrix."""
     return float(np.max(np.abs(np.linalg.eigvals(np.atleast_2d(M)))))
-
-
-def stage_gains(p: PTuple, game: GameSpec) -> GainTuple:
-    """Gain tuple from the stacked stage solve at p (the gain map)."""
-    return solve_stage_gains(assemble_stage_system(p, game))
 
 
 def fixed_point_residual(p: PTuple, game: GameSpec) -> float:
@@ -179,41 +178,32 @@ def _minimal_period(states, tol: float, max_period: int, window: int) -> int | N
     return None
 
 
-def detect_cycle(trace: RecursionTrace, tol: float = 1e-8,
-                 max_period: int = 100, window: int = 3,
-                 game: GameSpec | None = None,
-                 cert_tol: float = 1e-8, loop_tol: float = 1e-6,
-                 br_tol: float = 1e-6) -> CycleCertificate | None:
+def detect_cycle(trace: RecursionTrace, game: GameSpec, tol: float = 1e-8,
+                 max_period: int = 100) -> CycleCertificate | None:
     """Detect and certify a periodic orbit at the tail of a trace.
 
     Scans periods L = 1..max_period for the smallest one where the last
-    window * L steps repeat at relative tolerance tol. A period-1 match is
-    convergence, not a cycle, and yields None. For L >= 2 the trailing
+    CYCLE_WINDOW * L steps repeat at relative tolerance tol. A period-1
+    match is convergence, not a cycle, and yields None. For L >= 2 the trailing
     phases are re-verified through verify_cycle (re-running the map around
     the loop, period-product spectral radius, loop identity, periodic best
     responses); detection without a passing certificate also yields None.
     """
-    if game is None:
-        raise ValueError("detect_cycle needs the game to certify phases")
     states = trace.p_states
-    if len(states) < 2:
-        return None
-    L = _minimal_period(states, tol, max_period, window)
+    L = _minimal_period(states, tol, max_period, CYCLE_WINDOW)
     if L is None or L == 1:
         return None
     S = len(states) - 1
     # Loop order: phase l steps to phase l-1, so walk the tail backwards.
     phases = [states[S - j] for j in range(L)]
     try:
-        return verify_cycle(phases, game, tol=cert_tol, loop_tol=loop_tol,
-                            br_tol=br_tol)
+        return verify_cycle(phases, game)
     except (CertificationFailed, SingularStageSystem):
         return None
 
 
-def verify_cycle(phases, game: GameSpec, tol: float = 1e-8,
-                 loop_tol: float = 1e-6, br_tol: float = 1e-6,
-                 ) -> CycleCertificate:
+def verify_cycle(phases, game: GameSpec,
+                 tol: float = CERT_TOL) -> CycleCertificate:
     """Certify a phase sequence as a periodic equilibrium.
 
     phases must be in loop order: phase l is the image of phase l+1 under
@@ -221,9 +211,9 @@ def verify_cycle(phases, game: GameSpec, tol: float = 1e-8,
     fixed point replicated L times certifies for every L. Checks, in
     order: (a) orbit residual of each phase against the map image of its
     successor; (b) spectral radius of the period product below one;
-    (c) loop identity residual for every agent; (d) periodic best-response
-    residual for every agent. Raises CertificationFailed listing every
-    check that exceeded its tolerance.
+    (c) loop identity residual for every agent (below LOOP_TOL); (d)
+    periodic best-response residual for every agent (below BR_TOL). Raises
+    CertificationFailed listing every check that exceeded its tolerance.
     """
     phases = [p if isinstance(p, PTuple) else PTuple(p) for p in phases]
     L = len(phases)
@@ -284,12 +274,12 @@ def verify_cycle(phases, game: GameSpec, tol: float = 1e-8,
         failures.append(f"orbit residual {residual:.3e} >= {tol:.1e}")
     if not rho_product < 1.0:
         failures.append(f"period product spectral radius {rho_product:.6f} >= 1")
-    if not loop_residual < loop_tol:
-        failures.append(f"loop identity residual {loop_residual:.3e} >= {loop_tol:.1e}")
+    if not loop_residual < LOOP_TOL:
+        failures.append(f"loop identity residual {loop_residual:.3e} >= {LOOP_TOL:.1e}")
     if br_failure is not None:
         failures.append(br_failure)
-    elif not br_residual < br_tol:
-        failures.append(f"periodic best-response residual {br_residual:.3e} >= {br_tol:.1e}")
+    elif not br_residual < BR_TOL:
+        failures.append(f"periodic best-response residual {br_residual:.3e} >= {BR_TOL:.1e}")
     if failures:
         raise CertificationFailed(failures)
 
@@ -315,8 +305,12 @@ def classify(game: GameSpec, terminal: PTuple,
     before cycles (a settled trace is never reported as a period-1 cycle);
     anything bounded that the cycle detector does not claim is
     bounded_nonconvergent, with the sup norm over the whole orbit.
-    Deterministic for fixed inputs and options.
+    Deterministic for fixed inputs and options. Raises ValueError, listing
+    the failures, for a terminal that validate_terminal rejects.
     """
+    report = validate_terminal(game, terminal)
+    if not report.ok:
+        raise ValueError(f"invalid terminal cost: {report.failure_text()}")
     if opts is None:
         opts = ClassifyOptions()
     stop = ConvergenceStop(tol=opts.conv_tol, window=opts.conv_window)
@@ -334,10 +328,8 @@ def classify(game: GameSpec, terminal: PTuple,
                               fixed_point=trace.final_state(),
                               steps_to_converge=term.steps - opts.conv_window)
 
-    cert = detect_cycle(trace, tol=opts.cycle_tol,
-                        max_period=opts.max_period, window=opts.cycle_window,
-                        game=game, cert_tol=opts.cert_tol,
-                        loop_tol=opts.loop_tol, br_tol=opts.br_tol)
+    cert = detect_cycle(trace, game, tol=opts.cycle_tol,
+                        max_period=opts.max_period)
     if cert is not None:
         return Classification(VERDICT_CYCLE, certificate=cert)
 
@@ -358,7 +350,7 @@ def nash_verify_stationary(p: PTuple, game: GameSpec,
     if not residual < tol:
         return NashVerification(
             ok=False, precondition_ok=False, fixed_point_residual=residual,
-            closed_loop_spectral_radius=float("nan"), tol=tol)
+            closed_loop_spectral_radius=float("nan"), gains=gains, tol=tol)
 
     rho = spectral_radius(closed_loop(game, gains))
     gaps = []
@@ -368,4 +360,5 @@ def nash_verify_stationary(p: PTuple, game: GameSpec,
     ok = rho < 1.0 and all(g < tol for g in gaps)
     return NashVerification(
         ok=ok, precondition_ok=True, fixed_point_residual=residual,
-        closed_loop_spectral_radius=rho, best_response_gaps=gaps, tol=tol)
+        closed_loop_spectral_radius=rho, gains=gains,
+        best_response_gaps=gaps, tol=tol)

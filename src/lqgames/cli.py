@@ -5,7 +5,11 @@ verify-cycle, simulate. Each writes its artifacts into one output
 directory per invocation together with a manifest that echoes the fully
 resolved configuration. Option values resolve as: command-line flag over
 config-file entry over built-in default; unknown config keys are rejected
-by name. Exit codes: 0 success, 1 domain failure, 2 usage error.
+by name. Exit codes: 0 success, 1 domain failure, 2 usage error. A game,
+terminal or phases file that is missing, unreadable or fails validation
+is a usage error, except that validate reports a failing game with exit 1.
+Phases are checked for count, shape and finiteness; certification judges
+the rest.
 """
 
 import argparse
@@ -135,12 +139,9 @@ def parse_config(argv) -> RunConfig:
     from_file: dict = {}
     config_path = getattr(args, "config")
     if config_path:
-        try:
-            from_file = json.loads(Path(config_path).read_text())
-        except FileNotFoundError:
-            raise UsageError(f"config file not found: {config_path}")
-        except json.JSONDecodeError as err:
-            raise UsageError(f"config file {config_path} is not valid JSON: {err}")
+        from_file = _read(config_path,
+                          lambda path: json.loads(Path(path).read_text()),
+                          "config")
         for key in from_file:
             if key not in table:
                 raise UsageError(
@@ -178,32 +179,49 @@ def _make_out_dir(config: RunConfig) -> Path:
     return path
 
 
+def _read(path, reader, what: str):
+    """Parse a config, game, terminal or phases file; a missing or
+    unreadable one is a usage error."""
+    try:
+        return reader(path)
+    except (OSError, ValueError, TypeError, AttributeError) as err:
+        raise UsageError(f"{what} file {path} is unreadable: {err}")
+
+
 def _load_game(config: RunConfig):
+    """Read the game; one that validate_game rejects is a usage error."""
     path = config.params["game"]
-    if not Path(path).exists():
-        raise UsageError(f"game file not found: {path}")
-    return fileio.read_game(path)
+    game = _read(path, fileio.read_game, "game")
+    report = validate_game(game)
+    if not report.ok:
+        raise UsageError(f"invalid game in {path}: {report.failure_text()}")
+    return game
 
 
 def _load_terminal(config: RunConfig, game) -> PTuple:
-    """Read the terminal value tuple; a missing, unreadable or invalid one
-    (wrong count or shape, non-finite, not positive definite) is a usage
-    error."""
+    """Read the terminal value tuple; an invalid one (wrong count or
+    shape, non-finite, not positive definite) is a usage error."""
     path = config.params["terminal"]
-    if not Path(path).exists():
-        raise UsageError(f"terminal file not found: {path}")
-    try:
-        terminal = fileio.read_ptuple(path)
-    except ValueError as err:
-        raise UsageError(f"terminal file {path} is unreadable: {err}")
+    terminal = _read(path, fileio.read_ptuple, "terminal")
     report = validate_terminal(game, terminal)
     if not report.ok:
-        failures = (report.dimension_failures + report.finiteness_failures
-                    + [f"{name} not positive definite (min eig {v:.3e})"
-                       for name, v in report.definiteness_failures])
         raise UsageError(f"invalid terminal cost in {path}: "
-                         + "; ".join(failures))
+                         f"{report.failure_text()}")
     return terminal
+
+
+def _load_phases(config: RunConfig, game) -> list[PTuple]:
+    """Read the cycle phases; a phase of the wrong count or shape, or with
+    non-finite entries, is a usage error. Certification judges the rest."""
+    path = config.params["phases"]
+    phases = _read(path, fileio.read_phases, "phases")
+    for l, phase in enumerate(phases):
+        report = validate_terminal(game, phase)
+        failures = report.dimension_failures + report.finiteness_failures
+        if failures:
+            raise UsageError(f"phase {l} in {path} does not fit the game: "
+                             + "; ".join(failures))
+    return phases
 
 
 def _parse_cells(text: str) -> list[tuple[int, int, int]]:
@@ -245,7 +263,7 @@ def dispatch(config: RunConfig) -> int:
     p = config.params
 
     if config.command == "validate":
-        game = _load_game(config)
+        game = _read(p["game"], fileio.read_game, "game")
         report = validate_game(game)
         doc = {
             "ok": report.ok,
@@ -319,7 +337,7 @@ def dispatch(config: RunConfig) -> int:
         fileio.write_basin_csv(basin, target, prov)
         artifacts.append(target)
         target = out / "equilibria.csv"
-        fileio.write_equilibria_csv(basin.equilibria, game, target, prov)
+        fileio.write_equilibria_csv(basin.equilibria, target, prov)
         artifacts.append(target)
         counts = basin.label_counts()
         print(f"cells: {len(basin.cells)}, labels: {counts}")
@@ -375,17 +393,14 @@ def dispatch(config: RunConfig) -> int:
         prov = {"command": "equilibria", "method": method,
                 "seed": p["seed"], "restarts": p["restarts"]}
         target = out / "equilibria.csv"
-        fileio.write_equilibria_csv(eqs, game, target, prov)
+        fileio.write_equilibria_csv(eqs, target, prov)
         artifacts.append(target)
         print(f"{len(eqs)} stationary equilibria ({method})")
         code = 0 if len(eqs) else 1
 
     elif config.command == "verify-cycle":
         game = _load_game(config)
-        phases_path = p["phases"]
-        if not Path(phases_path).exists():
-            raise UsageError(f"phases file not found: {phases_path}")
-        phases = fileio.read_phases(phases_path)
+        phases = _load_phases(config, game)
         try:
             cert = verify_cycle(phases, game, tol=p["tol"])
         except CertificationFailed as err:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import least_squares
 
-from .analysis import NashVerification, nash_verify_stationary, stage_gains
+from .analysis import NashVerification, nash_verify_stationary
 from .model import GainTuple, GameSpec, PTuple
 from .riccati import (NoConvergence, NotStabilizable, SingularStageSystem,
                       riccati_step)
@@ -266,7 +266,7 @@ def scalar_two_agent_equilibria(game: GameSpec, grid_points: int = 200,
             failed += 1
             continue
         if report.ok:
-            points.append(EquilibriumPoint(p, stage_gains(p, game), report))
+            points.append(EquilibriumPoint(p, report.gains, report))
         elif report.precondition_ok and report.closed_loop_spectral_radius >= 1.0:
             unstable += 1
         else:
@@ -366,7 +366,7 @@ def residual_descent_search(game: GameSpec, inits=None, restarts: int = 20,
         except (SingularStageSystem, NotStabilizable, NoConvergence):
             continue
         if report.ok:
-            points.append(EquilibriumPoint(p, stage_gains(p, game), report))
+            points.append(EquilibriumPoint(p, report.gains, report))
             accepted += 1
 
     metadata = {"initializations": attempts, "accepted": accepted,

@@ -176,8 +176,7 @@ def classification_dict(c: Classification) -> dict:
     return doc
 
 
-def write_equilibria_csv(eqs: EquilibriumSet, game: GameSpec, path,
-                         provenance=None) -> None:
+def write_equilibria_csv(eqs: EquilibriumSet, path, provenance=None) -> None:
     """One row per equilibrium: P entries, K entries, rho(Acl), residual."""
     with _open_csv(path, provenance) as fh:
         w = csv.writer(fh)
@@ -188,8 +187,8 @@ def write_equilibria_csv(eqs: EquilibriumSet, game: GameSpec, path,
                               for v in np.asarray(m).ravel())
             k_flat = ";".join(repr(float(v)) for m in pt.gains
                               for v in np.asarray(m).ravel())
-            rho = spectral_radius(closed_loop(game, pt.gains))
-            w.writerow([idx, p_flat, k_flat, repr(rho),
+            w.writerow([idx, p_flat, k_flat,
+                        repr(pt.verification.closed_loop_spectral_radius),
                         repr(pt.verification.fixed_point_residual)])
 
 

@@ -213,6 +213,17 @@ class ValidationReport:
     dimension_failures: list[str] = field(default_factory=list)
     symmetry_failures: list[tuple[str, float]] = field(default_factory=list)
 
+    def failure_text(self) -> str:
+        """Every failed check, joined by '; '."""
+        text = list(self.dimension_failures)
+        text += [f"{name} asymmetric (relative {a:.3e})"
+                 for name, a in self.symmetry_failures]
+        text += [f"{name} fails its definiteness check (min eig {v:.3e})"
+                 for name, v in self.definiteness_failures]
+        if not self.dimension_failures and not self.stabilizable:
+            text.append("(A, [B^1 ... B^N]) not stabilizable")
+        return "; ".join(text)
+
 
 def pbh_stabilizable(A: np.ndarray, B_all: np.ndarray) -> bool:
     """PBH stabilizability test for the pair (A, B_all).
@@ -312,6 +323,13 @@ class TerminalReport:
     dimension_failures: list[str] = field(default_factory=list)
     finiteness_failures: list[str] = field(default_factory=list)
     definiteness_failures: list[tuple[str, float]] = field(default_factory=list)
+
+    def failure_text(self) -> str:
+        """Every failed check, joined by '; '."""
+        return "; ".join(
+            self.dimension_failures + self.finiteness_failures
+            + [f"{name} not positive definite (min eig {v:.3e})"
+               for name, v in self.definiteness_failures])
 
 
 def validate_terminal(game: GameSpec, terminal: PTuple) -> TerminalReport:

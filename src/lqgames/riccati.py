@@ -17,7 +17,7 @@ Sign convention: gains act as u^i = -K^i x, so Acl = A - sum_j B^j K^j.
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -38,11 +38,9 @@ RING_BUFFER_SIZE = 512
 class SingularStageSystem(RuntimeError):
     """Stage-gain system numerically singular: no unique stage equilibrium."""
 
-    def __init__(self, rcond: float, step: int | None = None):
+    def __init__(self, rcond: float):
         self.rcond = rcond
-        self.step = step
-        where = f" at step {step}" if step is not None else ""
-        super().__init__(f"stage-gain system singular{where} (rcond={rcond:.3e})")
+        super().__init__(f"stage-gain system singular (rcond={rcond:.3e})")
 
 
 class NotStabilizable(RuntimeError):
@@ -53,28 +51,12 @@ class NoConvergence(RuntimeError):
     """An iterative solver exhausted its budget before converging."""
 
 
-@dataclass(frozen=True)
-class StageSystem:
-    """Stacked stage-gain system M K = rhs with a conditioning estimate.
-
-    M has shape (sum m_i, sum m_i), rhs has shape (sum m_i, n), and
-    input_dims records the block row sizes used to split the solution.
-    The LU factorization behind rcond_estimate is cached for the solve.
-    """
-
-    M: np.ndarray
-    rhs: np.ndarray
-    rcond_estimate: float
-    input_dims: tuple[int, ...]
-    _factor: tuple | None = field(default=None, repr=False, compare=False)
-
-
 @dataclass
 class TerminationRecord:
-    """Why a recursion ended: 'completed', 'converged', 'stopped',
-    'diverged', or 'singular'. sup_norm is the largest agent Frobenius
-    norm over every state visited, terminal included, also when the trace
-    keeps only a ring buffer."""
+    """Why a recursion ended: 'completed', 'converged', 'diverged', or
+    'singular'. sup_norm is the largest agent Frobenius norm over every
+    state visited, terminal included, also when the trace keeps only a
+    ring buffer."""
 
     reason: str
     steps: int
@@ -128,12 +110,13 @@ _getrf, _gecon, _getrs = get_lapack_funcs(("getrf", "gecon", "getrs"),
                                           (np.empty((1, 1)),))
 
 
-def _stage_kernel(A, B, R, P):
-    """Assemble and factor the stacked stage system of the game (A, B, R)
-    at next-step values P (one matrix per agent).
+def _stage_kernel(A, B, R, P) -> list[np.ndarray]:
+    """Per-agent gain blocks (fresh arrays) of the stacked stage system of
+    the game (A, B, R) at next-step values P (one matrix per agent).
 
-    Returns (M, rhs, rcond, factor) with factor = (lu, piv), or None and
-    rcond 0 when the factorization fails or M is not finite. The 1-norm
+    Assembles the system, LU-factors it, and raises SingularStageSystem
+    when the factorization fails, the matrix is not finite, or the LAPACK
+    reciprocal condition estimate is below SINGULARITY_RCOND. The 1-norm
     is computed as np.linalg.norm(M, 1) computes it.
     """
     offsets = [0]
@@ -152,25 +135,17 @@ def _stage_kernel(A, B, R, P):
             M[ri:rj, offsets[j]:offsets[j + 1]] = block
         rhs[ri:rj, :] = PB @ A
     anorm = float(np.add.reduce(np.abs(M), axis=0).max(initial=0.0))
-    lu, piv, info = _getrf(M)            # M itself is left intact
+    lu, piv, info = _getrf(M)
     if info > 0 or not math.isfinite(anorm):
-        return M, rhs, 0.0, None
-    return M, rhs, float(_gecon(lu, anorm, norm="1")[0]), (lu, piv)
-
-
-def _stage_solve(rhs, rcond: float, factor, dims) -> list[np.ndarray]:
-    """Per-agent gain blocks of the factored stage system (fresh arrays)."""
-    if rcond < SINGULARITY_RCOND or factor is None:
+        raise SingularStageSystem(0.0)
+    rcond = float(_gecon(lu, anorm, norm="1")[0])
+    if rcond < SINGULARITY_RCOND:
         raise SingularStageSystem(rcond)
-    stacked, info = _getrs(factor[0], factor[1], rhs)
+    stacked, info = _getrs(lu, piv, rhs)
     if info != 0:
         raise SingularStageSystem(rcond)
-    out = []
-    row = 0
-    for m in dims:
-        out.append(np.array(stacked[row:row + m, :]))
-        row += m
-    return out
+    return [np.array(stacked[ri:rj, :])
+            for ri, rj in zip(offsets, offsets[1:])]
 
 
 def _closed_loop(A, B, K) -> np.ndarray:
@@ -189,35 +164,12 @@ def _stage_map(A, B, Q, R, P):
     Returns (values, gains) as lists of fresh arrays; raises
     SingularStageSystem when the stage system is too ill-conditioned.
     """
-    _, rhs, rcond, factor = _stage_kernel(A, B, R, P)
-    gains = _stage_solve(rhs, rcond, factor, [Bi.shape[1] for Bi in B])
+    gains = _stage_kernel(A, B, R, P)
     Acl = _closed_loop(A, B, gains)
     values = []
     for Ki, Qi, Ri, Pi in zip(gains, Q, R, P):
         values.append(symmetrize(Qi + Ki.T @ Ri @ Ki + Acl.T @ Pi @ Acl))
     return values, gains
-
-
-def assemble_stage_system(p_next: PTuple, game: GameSpec) -> StageSystem:
-    """Build the stacked stage-gain system from next-step value matrices.
-
-    The reciprocal condition estimate comes from the LAPACK 1-norm
-    estimator on the LU factorization, which the solve then reuses.
-    """
-    M, rhs, rcond, factor = _stage_kernel(game.A, game.B, game.R,
-                                          p_next.entries)
-    return StageSystem(M=M, rhs=rhs, rcond_estimate=rcond,
-                       input_dims=game.input_dims, _factor=factor)
-
-
-def solve_stage_gains(sys: StageSystem) -> GainTuple:
-    """Solve M K = rhs and split the stacked solution into per-agent gains.
-
-    Raises SingularStageSystem when the system is too ill-conditioned for
-    the gains to mean anything.
-    """
-    return GainTuple._trusted(_stage_solve(sys.rhs, sys.rcond_estimate,
-                                           sys._factor, sys.input_dims))
 
 
 def closed_loop(game: GameSpec, gains: GainTuple) -> np.ndarray:
@@ -247,8 +199,6 @@ class ConvergenceStop:
     below `tol`. The run count restarts at step 1, so one instance can be
     reused across recursions."""
 
-    reason = "converged"
-
     def __init__(self, tol: float = 1e-9, window: int = 10):
         if window < 1:
             raise ValueError(f"convergence window must be >= 1, got {window}")
@@ -267,21 +217,19 @@ class ConvergenceStop:
 
 
 def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
-                  stop=None, keep: int | None = None) -> RecursionTrace:
+                  stop: ConvergenceStop | None = None) -> RecursionTrace:
     """Iterate the backward map from a terminal value tuple.
 
     Records every state and gain up to FULL_STORAGE_LIMIT steps; longer
-    runs retain a trailing ring buffer (`keep` overrides its size). Stops
+    runs retain a trailing ring buffer of RING_BUFFER_SIZE steps. Stops
     early on divergence (norm above DIVERGENCE_THRESHOLD), a singular
-    stage, or when the stop rule returns True; the termination record says
+    stage, or convergence under the stop rule; the termination record says
     which and carries the sup norm over every state visited, terminal
     included. Early stops are recorded, never raised.
     """
-    if keep is None:
-        keep = RING_BUFFER_SIZE
     ring = max_steps > FULL_STORAGE_LIMIT
-    states = deque(maxlen=keep + 1) if ring else []
-    gains = deque(maxlen=keep) if ring else []
+    states = deque(maxlen=RING_BUFFER_SIZE + 1) if ring else []
+    gains = deque(maxlen=RING_BUFFER_SIZE) if ring else []
 
     p = terminal
     states.append(p)
@@ -314,7 +262,7 @@ def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
             reason = "diverged"
             break
         if stop is not None and stop(steps, rel, p_new):
-            reason = getattr(stop, "reason", "stopped")
+            reason = "converged"
             break
 
     record = TerminationRecord(

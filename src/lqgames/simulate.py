@@ -119,7 +119,7 @@ def deviation_test(game: GameSpec, trace: RecursionTrace, i: int, x0,
     """
     if np.any(game.W != 0.0):
         raise ValueError("deviation test requires a noise-free game")
-    if trace.terminated.reason not in ("completed", "converged", "stopped") \
+    if trace.terminated.reason not in ("completed", "converged") \
             or trace.first_step != 0:
         raise ValueError("deviation test needs a full-horizon trace")
     T = len(trace.gains)

@@ -217,10 +217,24 @@ def test_classify_diverged():
 
 
 def test_classify_singular():
-    game = lq.GameSpec(1, [1, 1], [1, 1], [1, 1])
-    verdict = lq.classify(game, lq.PTuple([-0.5, -0.5]))
+    # a valid game and a positive definite terminal whose first stage
+    # system is exactly singular
+    e1, e2 = [[1.0], [0.0]], [[0.0], [1.0]]
+    game = lq.GameSpec(np.eye(2), [e1, e2], [np.eye(2)] * 2, [0.01, 0.01])
+    terminal = lq.PTuple([[[1.0, 1.01], [1.01, 4.0]],
+                          [[4.0, 1.01], [1.01, 1.0]]])
+    assert lq.validate_game(game).ok
+    assert lq.validate_terminal(game, terminal).ok
+    verdict = lq.classify(game, terminal)
     assert verdict.verdict == "singular"
     assert verdict.rcond is not None
+
+
+@pytest.mark.parametrize("entries", [[float("nan"), 1.0], [-3.0, 1.0]],
+                         ids=["nan", "indefinite"])
+def test_classify_rejects_invalid_terminal(fig1_game, entries):
+    with pytest.raises(ValueError, match=r"invalid terminal cost: P\[0\]"):
+        lq.classify(fig1_game, lq.PTuple(entries))
 
 
 def test_classify_deterministic(fig1_game):

@@ -261,3 +261,60 @@ def test_basin_range_must_be_positive_interval(tmp_path, fig1_files, capsys,
                f"--range={text}", "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "--range" in capsys.readouterr().err
+
+
+def _game_command(command, game_path, term_path, phases_path):
+    extra = {"run": ["--terminal", str(term_path), "--horizon", "5"],
+             "classify": ["--terminal", str(term_path)],
+             "simulate": ["--terminal", str(term_path), "--horizon", "5"],
+             "basin": ["--grid", "2"],
+             "verify-cycle": ["--phases", str(phases_path)]}
+    return [command, "--game", str(game_path)] + extra.get(command, [])
+
+
+GAME_COMMANDS = ["run", "classify", "simulate", "basin", "equilibria",
+                 "verify-cycle"]
+
+
+@pytest.mark.parametrize("command", GAME_COMMANDS)
+def test_invalid_game_is_usage_error(tmp_path, fig1_files, capsys, command):
+    _, term_path = fig1_files
+    game_path = tmp_path / "negative_r.json"
+    fileio.write_game(lq.GameSpec(5, [1, 1], [1, 1], [-1, 2]), game_path)
+    phases_path = tmp_path / "phases.json"
+    phases_path.write_text(json.dumps({"phases": [[1.0, 1.0], [1.0, 1.0]]}))
+    rc = main(_game_command(command, game_path, term_path, phases_path)
+              + ["--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "invalid game" in err and "R[0]" in err
+
+
+@pytest.mark.parametrize("command", ["validate"] + GAME_COMMANDS)
+def test_unreadable_game_is_usage_error(tmp_path, fig1_files, capsys,
+                                       command):
+    _, term_path = fig1_files
+    game_path = tmp_path / "game.json"
+    game_path.write_text("{not json")
+    rc = main(_game_command(command, game_path, term_path, term_path)
+              + ["--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "unreadable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, needle", [
+    ("{not json", "unreadable"),
+    (json.dumps({"phases": [[1.0], [2.0]]}), "2 agents"),
+    (json.dumps({"phases": [[[[1.0, 0.0]]] * 2] * 2}), "shape"),
+    (json.dumps({"phases": [[1.0, 1.0], [1e999, 1.0]]}), "non-finite"),
+], ids=["unreadable", "one-agent", "wrong-shape", "non-finite"])
+def test_malformed_phases_are_usage_errors(tmp_path, fig1_files, capsys,
+                                           text, needle):
+    game_path, _ = fig1_files
+    phases_path = tmp_path / "phases.json"
+    phases_path.write_text(text)
+    rc = main(["verify-cycle", "--game", str(game_path), "--phases",
+               str(phases_path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and needle in err

@@ -109,10 +109,9 @@ def test_certificate_round_trip_phases(tmp_path, found_cycle):
     assert again.period == cert.period
 
 
-def test_equilibria_csv(tmp_path, fig1_game, fig1_equilibria):
+def test_equilibria_csv(tmp_path, fig1_equilibria):
     path = tmp_path / "eq.csv"
-    fileio.write_equilibria_csv(fig1_equilibria, fig1_game, path,
-                                {"seed": 0})
+    fileio.write_equilibria_csv(fig1_equilibria, path, {"seed": 0})
     lines = [l for l in path.read_text().splitlines()
              if l and not l.startswith("#")]
     assert len(lines) == 1 + 3

@@ -10,80 +10,41 @@ GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
 
 # ---------------------------------------------------------------------------
-# stage system assembly
-
-def test_assemble_fig1_hand_values(fig1_game):
-    sys = lq.assemble_stage_system(lq.PTuple([1.0, 1.0]), fig1_game)
-    assert np.array_equal(sys.M, [[2.0, 1.0], [1.0, 3.0]])
-    assert np.array_equal(sys.rhs, [[5.0], [5.0]])
-    assert sys.rcond_estimate > 0.1
-
+# stage solve
 
 def test_assemble_zero_state_matrix():
     game = lq.GameSpec(0, [1, 1], [1, 1], [1, 1])
-    sys = lq.assemble_stage_system(lq.PTuple([2.0, 3.0]), game)
-    assert np.array_equal(sys.rhs, np.zeros((2, 1)))
+    _, gains = lq.riccati_step(lq.PTuple([2.0, 3.0]), game)
+    assert all(np.array_equal(k, np.zeros((1, 1))) for k in gains)
 
 
 def test_assemble_single_agent_reduction():
+    # M = R + B P B = 2, rhs = B P A = 4
     game = lq.GameSpec(4, [1], [1], [1])
-    sys = lq.assemble_stage_system(lq.PTuple([1.0]), game)
-    assert np.array_equal(sys.M, [[2.0]])
-    assert np.array_equal(sys.rhs, [[4.0]])
-
-
-def test_assemble_block_structure_random():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        n, N = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        dims = [int(rng.integers(1, 3)) for _ in range(N)]
-        A = rng.standard_normal((n, n))
-        B = [rng.standard_normal((n, m)) for m in dims]
-        R = [np.eye(m) * rng.uniform(0.5, 2) for m in dims]
-        Q = [np.eye(n) for _ in range(N)]
-        game = lq.GameSpec(A, B, Q, R)
-        p = random_pd_tuple(rng, n, N)
-        sys = lq.assemble_stage_system(p, game)
-        offs = np.concatenate(([0], np.cumsum(dims)))
-        for i in range(N):
-            for j in range(N):
-                block = sys.M[offs[i]:offs[i + 1], offs[j]:offs[j + 1]]
-                expect = B[i].T @ np.asarray(p[i]) @ B[j]
-                if i == j:
-                    expect = expect + game.R[i]
-                assert np.allclose(block, expect, atol=1e-12)
-            rhs_block = sys.rhs[offs[i]:offs[i + 1], :]
-            assert np.allclose(rhs_block, B[i].T @ np.asarray(p[i]) @ A,
-                               atol=1e-12)
+    _, gains = lq.riccati_step(lq.PTuple([1.0]), game)
+    assert float(gains[0][0, 0]) == 2.0
 
 
 def test_solve_stage_gains_hand_values(fig1_game):
-    sys = lq.assemble_stage_system(lq.PTuple([1.0, 1.0]), fig1_game)
-    gains = lq.solve_stage_gains(sys)
+    # M = [[2, 1], [1, 3]], rhs = [5, 5]
+    gains = lq.riccati_step(lq.PTuple([1.0, 1.0]), fig1_game)[1]
     assert float(gains[0][0, 0]) == pytest.approx(2.0, abs=1e-14)
     assert float(gains[1][0, 0]) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_solve_stage_gains_zero_rhs():
-    sys = lq.StageSystem(M=np.array([[2.0]]), rhs=np.array([[0.0]]),
-                         rcond_estimate=1.0, input_dims=(1,))
-    # without a cached factorization the solve falls back to singular
-    with pytest.raises(lq.SingularStageSystem):
-        lq.solve_stage_gains(sys)
     game = lq.GameSpec(0, [1], [1], [1])
-    sys = lq.assemble_stage_system(lq.PTuple([1.0]), game)
-    gains = lq.solve_stage_gains(sys)
+    gains = lq.riccati_step(lq.PTuple([1.0]), game)[1]
     assert float(gains[0][0, 0]) == 0.0
 
 
 def test_solve_stage_gains_singular():
     game = lq.GameSpec(1, [1, 1], [1, 1], [1, 1])
-    # value pair engineered to make the stage matrix rank deficient
+    # value pair engineered to make the stage matrix [[0.5, -0.5],
+    # [-0.5, 0.5]] rank deficient
     p = lq.PTuple([-0.5, -0.5])
-    sys = lq.assemble_stage_system(p, game)
-    assert np.allclose(sys.M, [[0.5, -0.5], [-0.5, 0.5]])
     with pytest.raises(lq.SingularStageSystem):
-        lq.solve_stage_gains(sys)
+        lq.riccati_step(p, game)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +138,9 @@ def test_gain_equation_residual_random():
         except lq.GenerationFailed:
             continue
         p = random_pd_tuple(rng, n, N)
-        sys = lq.assemble_stage_system(p, game)
-        gains = lq.solve_stage_gains(sys)
+        gains = lq.riccati_step(p, game)[1]
+        stacked_rhs = np.vstack([Bi.T @ np.asarray(Pi) @ game.A
+                                 for Bi, Pi in zip(game.B, p)])
         for i in range(N):
             Bi, Pi = game.B[i], np.asarray(p[i])
             lhs = game.R[i] @ gains[i]
@@ -186,7 +148,7 @@ def test_gain_equation_residual_random():
                 lhs = lhs + Bi.T @ Pi @ game.B[j] @ gains[j]
             rhs = Bi.T @ Pi @ game.A
             assert (np.linalg.norm(lhs - rhs)
-                    < 1e-8 * (1.0 + np.linalg.norm(sys.rhs)))
+                    < 1e-8 * (1.0 + np.linalg.norm(stacked_rhs)))
 
 
 def test_best_response_gain_consistency_random():
@@ -200,7 +162,7 @@ def test_best_response_gain_consistency_random():
         except lq.GenerationFailed:
             continue
         p = random_pd_tuple(rng, n, N)
-        gains = lq.solve_stage_gains(lq.assemble_stage_system(p, game))
+        gains = lq.riccati_step(p, game)[1]
         for i in range(N):
             Abar = lq.partial_closed_loop(game, gains, i)
             Bi, Pi = game.B[i], np.asarray(p[i])
@@ -225,7 +187,7 @@ def test_recursion_scalar_lqr_golden_ratio(scalar_lqr):
                              stop=lq.ConvergenceStop(tol=1e-13))
     limit = float(np.asarray(trace.final_state()[0])[0, 0])
     assert limit == pytest.approx(GOLDEN, abs=1e-10)
-    gains = lq.stage_gains(trace.final_state(), scalar_lqr)
+    gains = lq.riccati_step(trace.final_state(), scalar_lqr)[1]
     assert float(gains[0][0, 0]) == pytest.approx(GOLDEN - 1.0, abs=1e-10)
 
 
@@ -372,7 +334,7 @@ def test_best_response_verifies_fig1_fixed_point(fig1_game):
     trace = lq.run_recursion(fig1_game, lq.PTuple([1.0, 1.0]), 2000,
                              stop=lq.ConvergenceStop(tol=1e-13))
     p_star = trace.final_state()
-    gains = lq.stage_gains(p_star, fig1_game)
+    gains = lq.riccati_step(p_star, fig1_game)[1]
     for i in range(2):
         _, Ki = lq.best_response_dare(fig1_game, i, gains)
         assert np.linalg.norm(Ki - gains[i]) < 1e-6
