@@ -190,20 +190,24 @@ def _pin_to_stage_map(game: GameSpec, p1: float, p2: float,
             break               # walking away from the root: a saddle
         y = fy
 
-    def offset(value, k):
-        for _ in range(abs(k)):
-            value = np.nextafter(value, np.inf if k > 0 else -np.inf)
-        return value
+    def lattice(value):
+        """The 2 * max_ulps + 1 floats around value; entry max_ulps + k is
+        value stepped k ulps."""
+        down, up = [value], [value]
+        for _ in range(max_ulps):
+            down.append(np.nextafter(down[-1], -np.inf))
+            up.append(np.nextafter(up[-1], np.inf))
+        return [float(v) for v in down[:0:-1] + up]
 
+    axis1, axis2 = lattice(x[0]), lattice(x[1])
     for radius in range(max_ulps + 1):
         ring = [(d1, d2) for d1 in range(-radius, radius + 1)
                 for d2 in range(-radius, radius + 1)
                 if max(abs(d1), abs(d2)) == radius]
         for d1, d2 in ring:
-            x1 = offset(x[0], d1)
-            x2 = offset(x[1], d2)
+            x1, x2 = axis1[max_ulps + d1], axis2[max_ulps + d2]
             if f_map(x1, x2) == (x1, x2):
-                return float(x1), float(x2)
+                return x1, x2
     return float(x[0]), float(x[1])
 
 

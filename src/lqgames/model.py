@@ -55,8 +55,9 @@ def _rel_asymmetry(m: np.ndarray) -> float:
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto symmetric matrices, (M + M') / 2."""
-    return 0.5 * (m + m.T)
+    """Orthogonal projection onto symmetric matrices, (M + M') / 2, of a
+    matrix or of every matrix in a stack."""
+    return 0.5 * (m + m.swapaxes(-1, -2))
 
 
 def frobenius(m: np.ndarray) -> float:
@@ -64,6 +65,14 @@ def frobenius(m: np.ndarray) -> float:
     (the same dot product of the raveled entries) without its dispatch."""
     v = m.ravel(order="K")
     return math.sqrt(v.dot(v))
+
+
+def stack_norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of every matrix in an (N, n, n) C-ordered stack, in
+    one call; bit-identical to frobenius of each (the same dot product of
+    the raveled entries)."""
+    flat = stack.reshape(len(stack), -1)
+    return np.sqrt(np.vecdot(flat, flat))
 
 
 class GameSpec:
@@ -84,7 +93,7 @@ class GameSpec:
     """
 
     __slots__ = ("A", "B", "Q", "R", "W", "n", "num_agents", "input_dims",
-                 "asymmetry")
+                 "_stage", "asymmetry")
 
     def __init__(self, A, B, Q, R, W=None):
         A = _as_square(A)
@@ -109,6 +118,7 @@ class GameSpec:
         self.n = n
         self.num_agents = len(self.B)
         self.input_dims = tuple(b.shape[1] for b in self.B)
+        self._stage = None      # stacked stage arrays, built on first step
         self.asymmetry = asym
 
     def __setattr__(self, name, value):
@@ -129,21 +139,6 @@ class _MatrixTuple:
     """Immutable ordered tuple of per-agent float matrices, frozen on entry."""
 
     __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        object.__setattr__(self, "entries",
-                           tuple(_freeze(self._coerce(e)) for e in entries))
-
-    @classmethod
-    def _trusted(cls, mats):
-        """Wrap freshly computed float matrices that already hold the class
-        invariant (symmetry, for PTuple) without copying or coercing them;
-        they are frozen in place."""
-        for m in mats:
-            m.setflags(write=False)
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "entries", tuple(mats))
-        return obj
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -171,14 +166,41 @@ class _MatrixTuple:
 class PTuple(_MatrixTuple):
     """Ordered tuple of per-agent symmetric value matrices, one n x n per agent.
 
-    Entries are symmetrized on ingestion and frozen.
+    Entries are symmetrized on ingestion and copied into one frozen
+    (N, n, n) stack, of which they are read-only views. Entries of
+    unequal shape (invalid input, which validate_terminal reports) are
+    frozen one by one and have no stack.
     """
 
-    __slots__ = ()
+    __slots__ = ("_stack",)
 
-    @staticmethod
-    def _coerce(e) -> np.ndarray:
-        return symmetrize(_as_square(e))
+    def __init__(self, entries):
+        mats = [symmetrize(_as_square(e)) for e in entries]
+        if mats and all(m.shape == mats[0].shape for m in mats):
+            self._set(np.stack(mats))
+        else:
+            object.__setattr__(self, "entries", tuple(map(_freeze, mats)))
+            object.__setattr__(self, "_stack", None)
+
+    @classmethod
+    def _trusted(cls, stack):
+        """Wrap a freshly computed, exactly symmetric (N, n, n) stack
+        without copying it; it is frozen in place."""
+        obj = object.__new__(cls)
+        obj._set(stack)
+        return obj
+
+    def _set(self, stack):
+        stack.setflags(write=False)
+        object.__setattr__(self, "entries", tuple(stack))
+        object.__setattr__(self, "_stack", stack)
+
+    @property
+    def stack(self) -> np.ndarray:
+        """The read-only (N, n, n) array the entries are views of."""
+        if self._stack is None:
+            raise ValueError("value matrices of unequal shape have no stack")
+        return self._stack
 
     def norms(self) -> list[float]:
         return [frobenius(m) for m in self.entries]
@@ -198,9 +220,20 @@ class GainTuple(_MatrixTuple):
 
     __slots__ = ()
 
-    @staticmethod
-    def _coerce(e) -> np.ndarray:
-        return np.atleast_2d(np.asarray(e, dtype=float))
+    def __init__(self, entries):
+        object.__setattr__(self, "entries", tuple(
+            _freeze(np.atleast_2d(np.asarray(e, dtype=float)))
+            for e in entries))
+
+    @classmethod
+    def _trusted(cls, mats):
+        """Wrap freshly computed float matrices without copying or
+        coercing them; they are frozen in place."""
+        for m in mats:
+            m.setflags(write=False)
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "entries", tuple(mats))
+        return obj
 
 
 @dataclass

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .model import (GainTuple, GameSpec, PTuple, frobenius, pbh_stabilizable,
-                    symmetrize)
+                    stack_norms, symmetrize)
 
 # Stage solve fails when the reciprocal condition estimate drops below this.
 SINGULARITY_RCOND = 1e-12
@@ -106,46 +106,93 @@ class RecursionTrace:
 
 
 # LAPACK routines for the float64 stage system, fetched once.
-_getrf, _gecon, _getrs = get_lapack_funcs(("getrf", "gecon", "getrs"),
-                                          (np.empty((1, 1)),))
+_getrf, _gecon, _getrs, _lange = get_lapack_funcs(
+    ("getrf", "gecon", "getrs", "lange"), (np.empty((1, 1)),))
 
 
-def _stage_kernel(A, B, R, P) -> list[np.ndarray]:
-    """Per-agent gain blocks (fresh arrays) of the stacked stage system of
-    the game (A, B, R) at next-step values P (one matrix per agent).
+class _Stage:
+    """The arrays of one game (A, B, Q, R) that the stage map stacks over
+    the agent axis, built once. Agent i's input dimension m_i is padded
+    to the largest, mb, with zero rows and columns:
 
-    Assembles the system, LU-factors it, and raises SingularStageSystem
-    when the factorization fails, the matrix is not finite, or the LAPACK
-    reciprocal condition estimate is below SINGULARITY_RCOND. The 1-norm
-    is computed as np.linalg.norm(M, 1) computes it.
+    BT           (N, mb, n)       (B^i)'
+    B            (N, n, mb)       B^i
+    BsA          (n, sum m + n)   [B^1 ... B^N | A]
+    R_block      (sum m, sum m)   block-diagonal R^i
+    R            (N, mb, mb)      R^i
+    Q            (N, n, n)        Q^i
+    rows         agent i's rows of the stacked gain system, as slices
+    padded_rows  where those rows sit among the N * mb padded rows
     """
-    offsets = [0]
-    for Bi in B:
-        offsets.append(offsets[-1] + Bi.shape[1])
-    total = offsets[-1]
-    M = np.empty((total, total))
-    rhs = np.empty((total, A.shape[0]))
-    for i, Bi in enumerate(B):
-        PB = Bi.T @ P[i]               # (m_i, n), reused across blocks
-        ri, rj = offsets[i], offsets[i + 1]
-        for j, Bj in enumerate(B):
-            block = PB @ Bj
-            if i == j:
-                block = block + R[i]
-            M[ri:rj, offsets[j]:offsets[j + 1]] = block
-        rhs[ri:rj, :] = PB @ A
-    anorm = float(np.add.reduce(np.abs(M), axis=0).max(initial=0.0))
+
+    __slots__ = ("A", "BT", "B", "BsA", "R_block", "R", "Q", "rows",
+                 "padded_rows")
+
+    def __init__(self, A, B, Q, R):
+        N, n = len(B), A.shape[0]
+        dims = [b.shape[1] for b in B]
+        mb, total = max(dims), sum(dims)
+        self.A = A
+        self.B = np.zeros((N, n, mb))
+        self.R = np.zeros((N, mb, mb))
+        self.R_block = np.zeros((total, total))
+        self.rows = []
+        start = 0
+        for i, (b, r, m) in enumerate(zip(B, R, dims)):
+            self.B[i, :, :m] = b
+            self.R[i, :m, :m] = r
+            self.R_block[start:start + m, start:start + m] = r
+            self.rows.append(slice(start, start + m))
+            start += m
+        self.padded_rows = np.concatenate(
+            [np.arange(i * mb, i * mb + m) for i, m in enumerate(dims)])
+        self.BT = self.B.transpose(0, 2, 1)
+        self.BsA = np.hstack([*B, A])
+        self.Q = np.stack(Q)
+
+
+def _stage_map(stage: _Stage, P: np.ndarray):
+    """The stage map at next-step values P, an (N, n, n) stack.
+
+    Assembles the stacked gain system [M | rhs] = (B')_i P^i [B^1 ... B^N
+    | A] plus block-diagonal R, LU-factors it and raises
+    SingularStageSystem when the factorization fails, M is not finite, or
+    the LAPACK reciprocal condition estimate of M (1-norm) is below
+    SINGULARITY_RCOND. Then forms Acl = A - B^1 K^1 - B^2 K^2 - ... in
+    that order and updates every agent through Q^i + ((K^i)' R^i) K^i +
+    (Acl' P^i) Acl, symmetrized. Returns the fresh (N, n, n) values and
+    the (sum m, n) stacked gains, whose rows stage.rows[i] are K^i.
+    """
+    total = len(stage.R_block)
+    system = (stage.BT @ P @ stage.BsA).reshape(-1, stage.BsA.shape[1])
+    system = system[stage.padded_rows]
+    M = system[:, :total]
+    M += stage.R_block
+    anorm = _lange("1", M)
     lu, piv, info = _getrf(M)
     if info > 0 or not math.isfinite(anorm):
         raise SingularStageSystem(0.0)
     rcond = float(_gecon(lu, anorm, norm="1")[0])
     if rcond < SINGULARITY_RCOND:
         raise SingularStageSystem(rcond)
-    stacked, info = _getrs(lu, piv, rhs)
+    gains, info = _getrs(lu, piv, system[:, total:])
     if info != 0:
         raise SingularStageSystem(rcond)
-    return [np.array(stacked[ri:rj, :])
-            for ri, rj in zip(offsets, offsets[1:])]
+
+    N, n, mb = stage.B.shape
+    K = np.zeros((N * mb, n))
+    K[stage.padded_rows] = gains
+    K = K.reshape(N, mb, n)
+    # Subtract B^j K^j one agent at a time, never as A - [B^1 ... B^N] K:
+    # a re-associated map leaves saddle equilibria such as Fig. 1's with
+    # no exactly stationary float neighbour for pinning.
+    terms = np.empty((N + 1, n, n))
+    terms[0] = stage.A
+    np.matmul(stage.B, K, out=terms[1:])
+    Acl = np.subtract.reduce(terms)
+    values = stage.Q + K.transpose(0, 2, 1) @ stage.R @ K
+    values += Acl.T @ P @ Acl
+    return symmetrize(values), gains
 
 
 def _closed_loop(A, B, K) -> np.ndarray:
@@ -154,22 +201,6 @@ def _closed_loop(A, B, K) -> np.ndarray:
     for Bj, Kj in zip(B, K):
         Acl -= Bj @ Kj
     return Acl
-
-
-def _stage_map(A, B, Q, R, P):
-    """The stage map of the game (A, B, Q, R) at next-step values P.
-
-    Solves the stacked stage system for the gains K, then updates every
-    agent through Q^i + (K^i)' R^i K^i + Acl' P^i Acl and symmetrizes.
-    Returns (values, gains) as lists of fresh arrays; raises
-    SingularStageSystem when the stage system is too ill-conditioned.
-    """
-    gains = _stage_kernel(A, B, R, P)
-    Acl = _closed_loop(A, B, gains)
-    values = []
-    for Ki, Qi, Ri, Pi in zip(gains, Q, R, P):
-        values.append(symmetrize(Qi + Ki.T @ Ri @ Ki + Acl.T @ Pi @ Acl))
-    return values, gains
 
 
 def closed_loop(game: GameSpec, gains: GainTuple) -> np.ndarray:
@@ -187,11 +218,21 @@ def riccati_step(p_next: PTuple, game: GameSpec) -> tuple[PTuple, GainTuple]:
     """One backward step of the coupled value recursion.
 
     Solves the stage-gain system at p_next, then updates every agent via
-    P = Q^i + (K^i)' R^i K^i + Acl' P_next^i Acl and symmetrizes.
+    P = Q^i + (K^i)' R^i K^i + Acl' P_next^i Acl and symmetrizes. Raises
+    ValueError unless p_next holds one n x n matrix per agent.
     """
-    values, gains = _stage_map(game.A, game.B, game.Q, game.R,
-                               p_next.entries)
-    return PTuple._trusted(values), GainTuple._trusted(gains)
+    stage = game._stage
+    if stage is None:           # the game's stacked arrays, built once
+        stage = _Stage(game.A, game.B, game.Q, game.R)
+        object.__setattr__(game, "_stage", stage)
+    P = p_next.stack
+    if P.shape != stage.Q.shape:
+        # The stacked products would broadcast a single matrix silently.
+        raise ValueError(f"value tuple of shape {P.shape} does not fit "
+                         f"the game's {stage.Q.shape}")
+    values, gains = _stage_map(stage, P)
+    return (PTuple._trusted(values),
+            GainTuple._trusted([gains[rows] for rows in stage.rows]))
 
 
 class ConvergenceStop:
@@ -235,8 +276,8 @@ def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
     states.append(p)
     # Agent norms of the current state: the next step's distance
     # denominators, computed once per state.
-    norms = [frobenius(m) for m in p.entries]
-    sup = max(norms)
+    norms = stack_norms(p.stack)
+    sup = max(norms.tolist())
     reason = "completed"
     rel = float("inf")
     rcond = None
@@ -248,13 +289,13 @@ def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
             reason = "singular"
             rcond = err.rcond
             break
-        new_norms = [frobenius(m) for m in p_new.entries]
-        rel = max(frobenius(a - b) / (1.0 + na)
-                  for a, b, na in zip(p.entries, p_new.entries, norms))
+        new_norms = stack_norms(p_new.stack)
+        rel = max((stack_norms(p.stack - p_new.stack)
+                   / (1.0 + norms)).tolist())
         states.append(p_new)
         gains.append(k)
         steps = s + 1
-        top = max(new_norms)
+        top = max(new_norms.tolist())
         if top > sup:
             sup = top
         p, norms = p_new, new_norms
@@ -287,19 +328,19 @@ def periodic_best_response(game: GameSpec, i: int, gain_cycle,
     naming the agent, after max_steps stage steps.
     """
     L = len(gain_cycle)
-    frozen = [partial_closed_loop(game, k, i) for k in gain_cycle]
-    B, Q, R = (game.B[i],), (game.Q[i],), (game.R[i],)
-    V = [game.Q[i]] * L
+    stages = [_Stage(partial_closed_loop(game, k, i), (game.B[i],),
+                     (game.Q[i],), (game.R[i],)) for k in gain_cycle]
+    V = [stages[0].Q] * L
     for _ in range(max_steps // L):
         prev = list(V)
         for l in range(L - 1, -1, -1):
-            (V[l],), _ = _stage_map(frozen[l], B, Q, R, (V[(l + 1) % L],))
+            V[l], _ = _stage_map(stages[l], V[(l + 1) % L])
         change = max(frobenius(v - p) / (1.0 + frobenius(p))
                      for v, p in zip(V, prev))
         if change < tol:
-            gains = [_stage_map(frozen[l], B, Q, R, (V[(l + 1) % L],))[1][0]
+            gains = [_stage_map(stages[l], V[(l + 1) % L])[1]
                      for l in range(L)]
-            return V, gains
+            return [v[0] for v in V], gains
     raise NoConvergence(
         f"periodic best response for agent {i} did not settle in "
         f"{max_steps} stage steps")

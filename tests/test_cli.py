@@ -307,7 +307,8 @@ def test_unreadable_game_is_usage_error(tmp_path, fig1_files, capsys,
     (json.dumps({"phases": [[1.0], [2.0]]}), "2 agents"),
     (json.dumps({"phases": [[[[1.0, 0.0]]] * 2] * 2}), "shape"),
     (json.dumps({"phases": [[1.0, 1.0], [1e999, 1.0]]}), "non-finite"),
-], ids=["unreadable", "one-agent", "wrong-shape", "non-finite"])
+    (json.dumps({"phases": [[1.0, 1.0]]}), "at least two phases"),
+], ids=["unreadable", "one-agent", "wrong-shape", "non-finite", "one-phase"])
 def test_malformed_phases_are_usage_errors(tmp_path, fig1_files, capsys,
                                            text, needle):
     game_path, _ = fig1_files

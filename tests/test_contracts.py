@@ -2,12 +2,15 @@
 
 Over small random valid games: classify's convergence verdict is the one
 detect_convergence finds on the full trace, riccati_step's value
-matrices come back exactly symmetric and, like its gains, read-only, and
-the norm helpers reproduce np.linalg.norm bit for bit.
+matrices come back exactly symmetric and, like its gains, read-only, the
+norm helpers reproduce np.linalg.norm bit for bit, and on games whose
+agents have unequal input dimensions riccati_step matches the stage map
+written out agent by agent.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from scipy.linalg import lu_factor, lu_solve
 
 import lqgames as lq
 from lqgames.experiments import random_game, random_terminal
@@ -73,3 +76,61 @@ def test_norm_helpers_match_numpy(case):
     assert gains.distance(other) == max(
         float(np.linalg.norm(a - b) / (1.0 + np.linalg.norm(a)))
         for a, b in zip(gains, other))
+
+
+# (n, per-agent input dimensions): the stacked kernel pads unequal m_i.
+MIXED = [(1, (1, 2)), (1, (2, 1, 3)), (2, (1, 2)), (3, (2, 1, 3)),
+         (2, (2, 1))]
+
+
+@st.composite
+def mixed_games(draw):
+    n, dims = draw(st.sampled_from(MIXED))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    A = rng.uniform(-2.0, 2.0, (n, n))
+    B = [rng.uniform(-1.0, 1.0, (n, m)) for m in dims]
+    Q, R = [], []
+    for m in dims:
+        g, h = rng.standard_normal((n, n)), rng.standard_normal((m, m))
+        Q.append(g @ g.T + 0.1 * np.eye(n))
+        R.append(h @ h.T + 0.1 * np.eye(m))
+    game = lq.GameSpec(A, B, Q, R)
+    assume(lq.validate_game(game).ok)
+    return game, random_terminal(game, rng)
+
+
+def reference_step(p, game):
+    """The stage map of the riccati module docstring, agent by agent."""
+    PB = [Bi.T @ Pi for Bi, Pi in zip(game.B, p)]
+    M = np.block([[PB[i] @ Bj + (game.R[i] if i == j else 0.0)
+                   for j, Bj in enumerate(game.B)]
+                  for i in range(game.num_agents)])
+    rhs = np.vstack([PBi @ game.A for PBi in PB])
+    K = lu_solve(lu_factor(M), rhs)
+    ends = np.cumsum(game.input_dims)
+    gains = np.split(K, ends[:-1])
+    Acl = game.A
+    for Bj, Kj in zip(game.B, gains):
+        Acl = Acl - Bj @ Kj
+    values = [Qi + Ki.T @ Ri @ Ki + Acl.T @ Pi @ Acl
+              for Qi, Ri, Ki, Pi in zip(game.Q, game.R, gains, p)]
+    return [0.5 * (v + v.T) for v in values], gains
+
+
+@PROPERTY
+@given(mixed_games(), st.integers(0, 3))
+def test_riccati_step_matches_reference_for_unequal_inputs(case, steps):
+    game, p = case
+    for _ in range(steps):
+        p, _ = lq.riccati_step(p, game)
+    image, gains = lq.riccati_step(p, game)
+    ref_values, ref_gains = reference_step(p, game)
+    for got, ref in zip([*image, *gains], [*ref_values, *ref_gains]):
+        if game.n == 1:
+            assert got.tobytes() == ref.tobytes()
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+    assert [k.shape for k in gains] == [(m, game.n) for m in game.input_dims]
+    for m in image:
+        assert np.array_equal(m, m.T)
+        assert not m.flags.writeable
+    assert all(not k.flags.writeable for k in gains)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,19 @@ def test_fig1_game_has_exactly_three_equilibria(fig1_equilibria):
 def test_fig1_points_are_engine_fixed_points(fig1_equilibria, fig1_game):
     for pt in fig1_equilibria:
         assert lq.fixed_point_residual(pt.p, fig1_game) < 1e-10
+
+
+def test_fig1_points_are_exactly_stationary(fig1_game):
+    # Pinning needs an exactly stationary float neighbour of each root; a
+    # stage map whose rounding loses it exhausts the ulp lattice instead.
+    start = time.perf_counter()
+    eqs = lq.scalar_two_agent_equilibria(fig1_game)
+    elapsed = time.perf_counter() - start
+    assert len(eqs) == 3
+    for pt in eqs:
+        image, _ = lq.riccati_step(pt.p, fig1_game)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(image, pt.p))
+    assert elapsed < 0.5
 
 
 def test_symmetric_game_swap_symmetry():

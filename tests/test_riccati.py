@@ -58,6 +58,13 @@ def test_riccati_step_scalar_hand_values():
     assert float(np.asarray(p[0])[0, 0]) == pytest.approx(1.5, abs=1e-15)
 
 
+def test_riccati_step_rejects_misfit_values(fig1_game):
+    for p in (lq.PTuple([1.0]), lq.PTuple([np.eye(2), np.eye(2)]),
+              lq.PTuple([1.0, np.eye(2)])):
+        with pytest.raises(ValueError):
+            lq.riccati_step(p, fig1_game)
+
+
 def test_riccati_step_zero_state_matrix():
     game = lq.GameSpec(0, [1, 1], [2, 3], [1, 1])
     p, k = lq.riccati_step(lq.PTuple([5.0, 7.0]), game)
