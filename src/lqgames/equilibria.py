@@ -153,9 +153,11 @@ def _pin_to_stage_map(game: GameSpec, p1: float, p2: float,
     """
 
     def f_map(x1, x2):
-        image, _ = riccati_step(PTuple([x1, x2]), game)
-        return (float(np.asarray(image[0])[0, 0]),
-                float(np.asarray(image[1])[0, 0]))
+        # Scalars are symmetric as they are: wrap them without PTuple's
+        # coercion, and read the image from its stack.
+        p = PTuple._trusted(np.array([x1, x2]).reshape(2, 1, 1))
+        image = riccati_step(p, game)[0].stack
+        return float(image[0, 0, 0]), float(image[1, 0, 0])
 
     x = np.array([p1, p2], dtype=float)
     for _ in range(50):

@@ -50,8 +50,20 @@ def _as_input_map(x, n: int) -> np.ndarray:
     return a
 
 
+def _symmetric(x) -> np.ndarray:
+    """x as a matrix, symmetrized when square. A non-square matrix is kept
+    as given, not broadcast against its transpose, so that validation
+    reports its shape."""
+    m = _as_square(x)
+    return symmetrize(m) if m.shape[-1] == m.shape[-2] else m
+
+
 def _rel_asymmetry(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m - m.T) / (1.0 + np.linalg.norm(m)))
+    """Relative Frobenius asymmetry; 0 for a non-square matrix, which has
+    no symmetric part to discard."""
+    if m.shape[-1] != m.shape[-2]:
+        return 0.0
+    return frobenius(m - m.T) / (1.0 + frobenius(m))
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -80,7 +92,8 @@ class GameSpec:
 
     Parameters accept scalars, nested lists, or arrays; matrices declared
     symmetric (Q, R, W) are symmetrized on ingestion and the discarded
-    asymmetry is kept for validation. W defaults to the zero matrix.
+    asymmetry is kept for validation; non-square ones are kept as given,
+    for validate_game to report their shape. W defaults to the zero matrix.
 
     Attributes
     ----------
@@ -112,9 +125,9 @@ class GameSpec:
 
         self.A = _freeze(A)
         self.B = tuple(_freeze(b) for b in B)
-        self.Q = tuple(_freeze(symmetrize(q)) for q in Q_raw)
-        self.R = tuple(_freeze(symmetrize(r)) for r in R_raw)
-        self.W = _freeze(symmetrize(W_raw))
+        self.Q = tuple(_freeze(_symmetric(q)) for q in Q_raw)
+        self.R = tuple(_freeze(_symmetric(r)) for r in R_raw)
+        self.W = _freeze(_symmetric(W_raw))
         self.n = n
         self.num_agents = len(self.B)
         self.input_dims = tuple(b.shape[1] for b in self.B)
@@ -136,12 +149,30 @@ class GameSpec:
 
 
 class _MatrixTuple:
-    """Immutable ordered tuple of per-agent float matrices, frozen on entry."""
+    """Immutable ordered tuple of per-agent float matrices, frozen on entry.
+
+    A tuple wrapped around one computed array builds its entries, read-only
+    views of that array, when they are first read.
+    """
 
     __slots__ = ("entries",)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __getattr__(self, name):
+        # Reached only for an unset slot: build the entries on first read.
+        if name != "entries":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        entries = self._views()
+        object.__setattr__(self, "entries", entries)
+        return entries
+
+    def __reduce__(self):
+        # Rebuilt from the entries by the public constructor, so no lazy
+        # state enters a pickle (or a copy).
+        return type(self), (self.entries,)
 
     def __len__(self):
         return len(self.entries)
@@ -166,16 +197,16 @@ class _MatrixTuple:
 class PTuple(_MatrixTuple):
     """Ordered tuple of per-agent symmetric value matrices, one n x n per agent.
 
-    Entries are symmetrized on ingestion and copied into one frozen
-    (N, n, n) stack, of which they are read-only views. Entries of
-    unequal shape (invalid input, which validate_terminal reports) are
-    frozen one by one and have no stack.
+    Square entries are symmetrized on ingestion, and entries are copied
+    into one frozen (N, n, n) stack, of which they are read-only views.
+    Entries of unequal shape (invalid input, which validate_terminal
+    reports) are frozen one by one and have no stack.
     """
 
     __slots__ = ("_stack",)
 
     def __init__(self, entries):
-        mats = [symmetrize(_as_square(e)) for e in entries]
+        mats = [_symmetric(e) for e in entries]
         if mats and all(m.shape == mats[0].shape for m in mats):
             self._set(np.stack(mats))
         else:
@@ -192,8 +223,10 @@ class PTuple(_MatrixTuple):
 
     def _set(self, stack):
         stack.setflags(write=False)
-        object.__setattr__(self, "entries", tuple(stack))
         object.__setattr__(self, "_stack", stack)
+
+    def _views(self):
+        return tuple(self._stack)
 
     @property
     def stack(self) -> np.ndarray:
@@ -218,7 +251,7 @@ class GainTuple(_MatrixTuple):
     Gains act through u^i = -K^i x, so the closed loop is A - sum_j B^j K^j.
     """
 
-    __slots__ = ()
+    __slots__ = ("_solve", "_rows")
 
     def __init__(self, entries):
         object.__setattr__(self, "entries", tuple(
@@ -226,14 +259,17 @@ class GainTuple(_MatrixTuple):
             for e in entries))
 
     @classmethod
-    def _trusted(cls, mats):
-        """Wrap freshly computed float matrices without copying or
-        coercing them; they are frozen in place."""
-        for m in mats:
-            m.setflags(write=False)
+    def _trusted(cls, solve, rows):
+        """Wrap a freshly computed stacked gain solve, whose rows rows[i]
+        are agent i's gain, without copying it; it is frozen in place."""
+        solve.setflags(write=False)
         obj = object.__new__(cls)
-        object.__setattr__(obj, "entries", tuple(mats))
+        object.__setattr__(obj, "_solve", solve)
+        object.__setattr__(obj, "_rows", rows)
         return obj
+
+    def _views(self):
+        return tuple(self._solve[rows] for rows in self._rows)
 
 
 @dataclass
@@ -381,16 +417,20 @@ def validate_terminal(game: GameSpec, terminal: PTuple) -> TerminalReport:
     if len(terminal) != game.num_agents:
         dim_failures.append(
             f"{len(terminal)} terminal matrices for {game.num_agents} agents")
-    for i, m in enumerate(terminal):
-        name = f"P[{i}]"
-        if m.shape != (n, n):
-            dim_failures.append(f"{name} has shape {m.shape}, expected ({n}, {n})")
-        elif not np.all(np.isfinite(m)):
-            fin_failures.append(f"{name} has non-finite entries")
-        else:
-            eigs = np.linalg.eigvalsh(m)
+    dim_failures += [f"P[{i}] has shape {m.shape}, expected ({n}, {n})"
+                     for i, m in enumerate(terminal) if m.shape != (n, n)]
+    good = [i for i, m in enumerate(terminal) if m.shape == (n, n)]
+    if good:
+        # One isfinite and one eigvalsh over the well-shaped entries.
+        stack = (terminal.stack if len(good) == len(terminal)
+                 else np.stack([terminal[i] for i in good]))
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        fin_failures = [f"P[{i}] has non-finite entries"
+                        for i, ok in zip(good, finite) if not ok]
+        checked = [i for i, ok in zip(good, finite) if ok]
+        for i, eigs in zip(checked, np.linalg.eigvalsh(stack[finite])):
             if eigs[0] <= DEFINITENESS_TOL * (1.0 + eigs[-1]):
-                def_failures.append((name, float(eigs[0])))
+                def_failures.append((f"P[{i}]", float(eigs[0])))
     ok = not (dim_failures or fin_failures or def_failures)
     return TerminalReport(ok=ok, dimension_failures=dim_failures,
                           finiteness_failures=fin_failures,

@@ -121,11 +121,14 @@ class _Stage:
     R_block      (sum m, sum m)   block-diagonal R^i
     R            (N, mb, mb)      R^i
     Q            (N, n, n)        Q^i
+    terms        (N + 1, n, n)    A, then scratch for B^1 K^1 ... B^N K^N,
+                                  rewritten by every step
     rows         agent i's rows of the stacked gain system, as slices
-    padded_rows  where those rows sit among the N * mb padded rows
+    padded_rows  where those rows sit among the N * mb padded rows, or
+                 None when every m_i is mb and there is no padding
     """
 
-    __slots__ = ("A", "BT", "B", "BsA", "R_block", "R", "Q", "rows",
+    __slots__ = ("A", "BT", "B", "BsA", "R_block", "R", "Q", "terms", "rows",
                  "padded_rows")
 
     def __init__(self, A, B, Q, R):
@@ -136,26 +139,30 @@ class _Stage:
         self.B = np.zeros((N, n, mb))
         self.R = np.zeros((N, mb, mb))
         self.R_block = np.zeros((total, total))
-        self.rows = []
+        rows = []
         start = 0
         for i, (b, r, m) in enumerate(zip(B, R, dims)):
             self.B[i, :, :m] = b
             self.R[i, :m, :m] = r
             self.R_block[start:start + m, start:start + m] = r
-            self.rows.append(slice(start, start + m))
+            rows.append(slice(start, start + m))
             start += m
-        self.padded_rows = np.concatenate(
+        self.rows = tuple(rows)
+        self.padded_rows = None if total == N * mb else np.concatenate(
             [np.arange(i * mb, i * mb + m) for i, m in enumerate(dims)])
         self.BT = self.B.transpose(0, 2, 1)
         self.BsA = np.hstack([*B, A])
         self.Q = np.stack(Q)
+        self.terms = np.empty((N + 1, n, n))
+        self.terms[0] = A
 
 
 def _stage_map(stage: _Stage, P: np.ndarray):
     """The stage map at next-step values P, an (N, n, n) stack.
 
     Assembles the stacked gain system [M | rhs] = (B')_i P^i [B^1 ... B^N
-    | A] plus block-diagonal R, LU-factors it and raises
+    | A] plus block-diagonal R (gathering the real rows out of the padded
+    ones when the m_i differ), LU-factors it and raises
     SingularStageSystem when the factorization fails, M is not finite, or
     the LAPACK reciprocal condition estimate of M (1-norm) is below
     SINGULARITY_RCOND. Then forms Acl = A - B^1 K^1 - B^2 K^2 - ... in
@@ -165,14 +172,15 @@ def _stage_map(stage: _Stage, P: np.ndarray):
     """
     total = len(stage.R_block)
     system = (stage.BT @ P @ stage.BsA).reshape(-1, stage.BsA.shape[1])
-    system = system[stage.padded_rows]
+    if stage.padded_rows is not None:
+        system = system[stage.padded_rows]
     M = system[:, :total]
     M += stage.R_block
     anorm = _lange("1", M)
     lu, piv, info = _getrf(M)
     if info > 0 or not math.isfinite(anorm):
         raise SingularStageSystem(0.0)
-    rcond = float(_gecon(lu, anorm, norm="1")[0])
+    rcond = float(_gecon(lu, anorm, "1")[0])
     if rcond < SINGULARITY_RCOND:
         raise SingularStageSystem(rcond)
     gains, info = _getrs(lu, piv, system[:, total:])
@@ -180,14 +188,16 @@ def _stage_map(stage: _Stage, P: np.ndarray):
         raise SingularStageSystem(rcond)
 
     N, n, mb = stage.B.shape
-    K = np.zeros((N * mb, n))
-    K[stage.padded_rows] = gains
-    K = K.reshape(N, mb, n)
+    if stage.padded_rows is None:
+        K = gains.reshape(N, mb, n)
+    else:
+        K = np.zeros((N * mb, n))
+        K[stage.padded_rows] = gains
+        K = K.reshape(N, mb, n)
     # Subtract B^j K^j one agent at a time, never as A - [B^1 ... B^N] K:
     # a re-associated map leaves saddle equilibria such as Fig. 1's with
     # no exactly stationary float neighbour for pinning.
-    terms = np.empty((N + 1, n, n))
-    terms[0] = stage.A
+    terms = stage.terms
     np.matmul(stage.B, K, out=terms[1:])
     Acl = np.subtract.reduce(terms)
     values = stage.Q + K.transpose(0, 2, 1) @ stage.R @ K
@@ -219,7 +229,9 @@ def riccati_step(p_next: PTuple, game: GameSpec) -> tuple[PTuple, GainTuple]:
 
     Solves the stage-gain system at p_next, then updates every agent via
     P = Q^i + (K^i)' R^i K^i + Acl' P_next^i Acl and symmetrizes. Raises
-    ValueError unless p_next holds one n x n matrix per agent.
+    ValueError unless p_next holds one n x n matrix per agent. Steps on
+    one game share scratch space, so they must not run in two threads at
+    once; separate processes, or separate GameSpec objects, are fine.
     """
     stage = game._stage
     if stage is None:           # the game's stacked arrays, built once
@@ -231,8 +243,7 @@ def riccati_step(p_next: PTuple, game: GameSpec) -> tuple[PTuple, GainTuple]:
         raise ValueError(f"value tuple of shape {P.shape} does not fit "
                          f"the game's {stage.Q.shape}")
     values, gains = _stage_map(stage, P)
-    return (PTuple._trusted(values),
-            GainTuple._trusted([gains[rows] for rows in stage.rows]))
+    return PTuple._trusted(values), GainTuple._trusted(gains, stage.rows)
 
 
 class ConvergenceStop:
@@ -275,8 +286,10 @@ def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
     p = terminal
     states.append(p)
     # Agent norms of the current state: the next step's distance
-    # denominators, computed once per state.
-    norms = stack_norms(p.stack)
+    # denominators, computed once per state. Only the stacks are read, so
+    # no per-agent entries are built here.
+    P = p.stack
+    norms = stack_norms(P)
     sup = max(norms.tolist())
     reason = "completed"
     rel = float("inf")
@@ -289,16 +302,16 @@ def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
             reason = "singular"
             rcond = err.rcond
             break
-        new_norms = stack_norms(p_new.stack)
-        rel = max((stack_norms(p.stack - p_new.stack)
-                   / (1.0 + norms)).tolist())
+        P_new = p_new.stack
+        new_norms = stack_norms(P_new)
+        rel = max((stack_norms(P - P_new) / (1.0 + norms)).tolist())
         states.append(p_new)
         gains.append(k)
         steps = s + 1
         top = max(new_norms.tolist())
         if top > sup:
             sup = top
-        p, norms = p_new, new_norms
+        p, P, norms = p_new, P_new, new_norms
         if top > DIVERGENCE_THRESHOLD:
             reason = "diverged"
             break

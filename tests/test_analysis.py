@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -245,3 +247,53 @@ def test_classify_deterministic(fig1_game):
     for i in range(2):
         assert np.array_equal(np.asarray(a.fixed_point[i]),
                               np.asarray(b.fixed_point[i]))
+
+
+# pickling: results cross process boundaries intact
+
+def _same_frozen(a, b) -> bool:
+    """b holds a's entries bit for bit, every one read-only."""
+    return len(a) == len(b) and all(
+        x.shape == y.shape and x.tobytes() == y.tobytes()
+        and not y.flags.writeable for x, y in zip(a, b))
+
+
+def test_matrix_tuples_pickle():
+    for t in (lq.PTuple([1.0, 2.0]), lq.GainTuple([[1.0]]),
+              lq.PTuple([np.eye(2), 1.0])):
+        back = pickle.loads(pickle.dumps(t))
+        assert type(back) is type(t)
+        assert _same_frozen(t, back)
+
+
+def test_classification_pickles(fig1_game):
+    result = lq.classify(fig1_game, lq.PTuple([1.0, 2.0]))
+    assert result.verdict == "converged"
+    back = pickle.loads(pickle.dumps(result))
+    assert back.steps_to_converge == result.steps_to_converge
+    assert _same_frozen(result.fixed_point, back.fixed_point)
+    # the loaded value tuple is a working stacked tuple again
+    assert (lq.riccati_step(back.fixed_point, fig1_game)[0].stack.tobytes()
+            == lq.riccati_step(result.fixed_point, fig1_game)[0].stack.tobytes())
+
+
+def test_cycle_certificate_pickles(found_cycle):
+    cert = found_cycle[2]
+    back = pickle.loads(pickle.dumps(cert))
+    assert back.period == cert.period
+    assert back.phase_spectral_radii == cert.phase_spectral_radii
+    assert (back.cycle_residual, back.periodic_br_residual) == (
+        cert.cycle_residual, cert.periodic_br_residual)
+    for a, b in zip(cert.phases + cert.gains, back.phases + back.gains):
+        assert _same_frozen(a, b)
+
+
+def test_recursion_trace_pickles(fig1_game):
+    trace = lq.run_recursion(fig1_game, lq.PTuple([1.0, 2.0]), 30)
+    back = pickle.loads(pickle.dumps(trace))
+    assert back.terminated == trace.terminated
+    assert back.first_step == trace.first_step
+    assert len(back.p_states) == len(trace.p_states)
+    assert len(back.gains) == len(trace.gains)
+    for a, b in zip(trace.p_states + trace.gains, back.p_states + back.gains):
+        assert _same_frozen(a, b)

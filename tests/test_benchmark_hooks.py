@@ -7,8 +7,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from lqgames import experiments
+from lqgames import analysis, experiments, riccati
 from lqgames.analysis import ClassifyOptions
+from lqgames.model import PTuple
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -49,3 +50,27 @@ def test_campaigns_classify_through_module_global(monkeypatch, fig1_game,
     experiments.run_ensemble([(1, 1, 2)], trials=3, master_seed=0,
                              opts=ClassifyOptions(horizon=200))
     assert len(calls) == 7
+
+
+def test_recursion_steps_through_riccati_step(monkeypatch, fig1_game):
+    """The tracer counts steps on the riccati_step module global; a loop
+    calling the stage map directly would zero that count silently."""
+    calls = []
+    original = riccati.riccati_step
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(riccati, "riccati_step", counting)
+    terminal = PTuple([1.0, 2.0])
+    trace = riccati.run_recursion(fig1_game, terminal, 40)
+    assert trace.steps == 40
+    assert len(calls) == trace.steps
+    calls.clear()
+    opts = ClassifyOptions()
+    stop = riccati.ConvergenceStop(opts.conv_tol, opts.conv_window)
+    trace = riccati.run_recursion(fig1_game, terminal, opts.horizon, stop)
+    calls.clear()
+    assert analysis.classify(fig1_game, terminal, opts).verdict == "converged"
+    assert len(calls) == trace.steps

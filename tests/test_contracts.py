@@ -3,9 +3,9 @@
 Over small random valid games: classify's convergence verdict is the one
 detect_convergence finds on the full trace, riccati_step's value
 matrices come back exactly symmetric and, like its gains, read-only, the
-norm helpers reproduce np.linalg.norm bit for bit, and on games whose
-agents have unequal input dimensions riccati_step matches the stage map
-written out agent by agent.
+norm helpers reproduce np.linalg.norm bit for bit, and riccati_step
+matches the stage map written out agent by agent, on games whose agents
+have equal input dimensions and on games where they differ.
 """
 
 import numpy as np
@@ -78,9 +78,10 @@ def test_norm_helpers_match_numpy(case):
         for a, b in zip(gains, other))
 
 
-# (n, per-agent input dimensions): the stacked kernel pads unequal m_i.
+# (n, per-agent input dimensions): the stacked kernel pads unequal m_i
+# and skips the padding when every m_i is the same.
 MIXED = [(1, (1, 2)), (1, (2, 1, 3)), (2, (1, 2)), (3, (2, 1, 3)),
-         (2, (2, 1))]
+         (2, (2, 1)), (2, (1, 1)), (3, (2, 2, 2))]
 
 
 @st.composite
@@ -119,18 +120,26 @@ def reference_step(p, game):
 
 @PROPERTY
 @given(mixed_games(), st.integers(0, 3))
-def test_riccati_step_matches_reference_for_unequal_inputs(case, steps):
+def test_riccati_step_matches_reference_per_agent(case, steps):
     game, p = case
     for _ in range(steps):
         p, _ = lq.riccati_step(p, game)
     image, gains = lq.riccati_step(p, game)
+    # Both sides of the kernel's width branch are drawn.
+    assert ((game._stage.padded_rows is None)
+            == (len(set(game.input_dims)) == 1))
+    # Entries are built on first read: read-only, of the right shapes and
+    # bitwise equal to the eager construction from copies.
+    eager_values = lq.PTuple([np.array(m) for m in image.stack])
+    assert [k.shape for k in gains] == [(m, game.n) for m in game.input_dims]
+    eager_gains = lq.GainTuple([np.array(k) for k in gains])
+    for lazy, eager in ((image, eager_values), (gains, eager_gains)):
+        assert all(not m.flags.writeable for m in lazy)
+        assert [m.tobytes() for m in lazy] == [m.tobytes() for m in eager]
     ref_values, ref_gains = reference_step(p, game)
     for got, ref in zip([*image, *gains], [*ref_values, *ref_gains]):
         if game.n == 1:
             assert got.tobytes() == ref.tobytes()
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
-    assert [k.shape for k in gains] == [(m, game.n) for m in game.input_dims]
     for m in image:
         assert np.array_equal(m, m.T)
-        assert not m.flags.writeable
-    assert all(not k.flags.writeable for k in gains)

@@ -207,3 +207,38 @@ def test_validate_terminal_definiteness_is_scale_relative():
                        [np.eye(2)] * 2, [np.eye(2)] * 2)
     assert not lq.validate_terminal(game, bad).ok
     assert lq.validate_terminal(game, lq.PTuple([np.eye(2) * 1e-6] * 2)).ok
+
+
+def test_non_square_game_matrix_is_a_shape_failure():
+    game = lq.GameSpec(np.eye(2), [np.eye(2)], [[[1.0, 0.0]]], [np.eye(2)])
+    # kept as given, not broadcast against its transpose into a 2x2
+    assert game.Q[0].tobytes() == np.array([[1.0, 0.0]]).tobytes()
+    assert game.asymmetry["Q[0]"] == 0.0
+    report = lq.validate_game(game)
+    assert not report.ok
+    assert report.dimension_failures == [
+        "Q[0] has shape (1, 2), expected (2, 2)"]
+    assert not (report.symmetry_failures or report.definiteness_failures)
+    assert report.failure_text() == "Q[0] has shape (1, 2), expected (2, 2)"
+
+
+def test_non_square_terminal_entry_is_a_shape_failure():
+    game = lq.GameSpec(np.eye(2), [np.eye(2)], [np.eye(2)], [np.eye(2)])
+    terminal = lq.PTuple([[[1.0, 0.0]]])
+    assert terminal[0].shape == (1, 2)
+    report = lq.validate_terminal(game, terminal)
+    assert not report.ok
+    assert report.dimension_failures == [
+        "P[0] has shape (1, 2), expected (2, 2)"]
+    assert not (report.finiteness_failures or report.definiteness_failures)
+
+
+def test_validate_terminal_checks_well_shaped_entries_beside_a_misfit():
+    game = lq.GameSpec(np.eye(2), [np.eye(2)] * 3, [np.eye(2)] * 3,
+                       [np.eye(2)] * 3)
+    report = lq.validate_terminal(game, lq.PTuple(
+        [np.diag([1.0, -2.0]), [[1.0, 0.0]], np.diag([np.inf, 1.0])]))
+    assert report.dimension_failures == [
+        "P[1] has shape (1, 2), expected (2, 2)"]
+    assert report.finiteness_failures == ["P[2] has non-finite entries"]
+    assert report.definiteness_failures == [("P[0]", -2.0)]
