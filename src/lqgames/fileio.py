@@ -20,6 +20,11 @@ from .model import GameSpec, PTuple
 from .riccati import RecursionTrace, TerminationRecord, closed_loop
 
 
+# States (or time steps) formatted and written at a time by the long
+# float tables: the trace and the trajectory.
+CHUNK_ROWS = 256
+
+
 def _matrix(m: np.ndarray) -> list:
     return [[float(v) for v in row] for row in np.atleast_2d(m)]
 
@@ -71,37 +76,58 @@ def _open_csv(path, provenance: dict | None):
     return fh
 
 
+def _float_text(values: np.ndarray) -> np.ndarray:
+    """repr of every float in values, as an object array of its shape.
+
+    repr runs once per distinct bit pattern: keys are bits, never float
+    values, because -0.0 == 0.0 prints differently and NaN never compares
+    equal. Long traces repeat their settled floats, so this is far fewer
+    calls than one per entry.
+    """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())),
+                    dtype=object)
+    return text[inverse].reshape(values.shape)
+
+
+def _write_rows(fh, rows) -> None:
+    """Rows of str cells as comma-separated lines ending in \\r\\n: what
+    csv.writer writes for cells that need no quoting, as no header name,
+    integer or float repr here does."""
+    fh.write("".join([",".join(row) + "\r\n" for row in rows]))
+
+
 def write_trace_csv(trace: RecursionTrace, path, provenance=None) -> None:
     """One row per (step, agent): row-major P entries then row-major K
     entries. Gain columns are padded to the widest agent and left empty on
-    the final state (no step was taken from it)."""
+    the final state (no step was taken from it). Only the value and gain
+    stacks are read, CHUNK_ROWS states at a time."""
+    states, gains = trace.p_states, trace.gains
+    N, n = states[0].stack.shape[:2]
+    rows = gains[0].rows if gains else ()
+    m_max = max((r.stop - r.start for r in rows), default=0)
+    k0 = 2 + n * n
     with _open_csv(path, provenance) as fh:
-        w = csv.writer(fh)
-        n = trace.p_states[0][0].shape[0]
-        m_max = max((k.shape[0] for k in trace.gains[0]), default=0) \
-            if trace.gains else 0
-        w.writerow(["step", "agent"]
-                   + [f"p_{r}_{c}" for r in range(n) for c in range(n)]
-                   + [f"k_{r}_{c}" for r in range(m_max) for c in range(n)])
-        k_width = m_max * n
-        w.writerows(_trace_rows(trace, k_width))
-
-
-def _trace_rows(trace: RecursionTrace, k_width: int):
-    gains = trace.gains
-    blank = [""] * k_width
-    for s, p in enumerate(trace.p_states):
-        k = gains[s] if s < len(gains) else None
-        for i, Pi in enumerate(p):
-            row = [trace.first_step + s, i]
-            row += map(repr, Pi.ravel().tolist())
-            if k is None:
-                row += blank
-            else:
-                kcols = list(map(repr, k[i].ravel().tolist()))
-                row += kcols
-                row += blank[len(kcols):]
-            yield row
+        _write_rows(fh, [["step", "agent"]
+                         + [f"p_{r}_{c}" for r in range(n) for c in range(n)]
+                         + [f"k_{r}_{c}" for r in range(m_max)
+                            for c in range(n)]])
+        for start in range(0, len(states), CHUNK_ROWS):
+            P = np.stack([p.stack for p in states[start:start + CHUNK_ROWS]])
+            K = [k.stack for k in gains[start:start + CHUNK_ROWS]]
+            S = len(P)
+            step = trace.first_step + start
+            cells = np.full((S, N, k0 + m_max * n), "", dtype=object)
+            cells[:, :, 0] = np.arange(step, step + S).astype(str)[:, None]
+            cells[:, :, 1] = np.arange(N).astype(str)
+            cells[:, :, 2:k0] = _float_text(P).reshape(S, N, n * n)
+            if K:
+                text = _float_text(np.stack(K))
+                for i, r in enumerate(rows):
+                    cells[:len(K), i, k0:k0 + (r.stop - r.start) * n] = \
+                        text[:, r].reshape(len(K), -1)
+            _write_rows(fh, cells.reshape(S * N, -1).tolist())
 
 
 def termination_dict(term: TerminationRecord) -> dict:
@@ -245,20 +271,23 @@ def write_census_csv(census: CycleCensus, path, provenance=None) -> None:
 
 
 def write_trajectory_csv(traj, path, provenance=None) -> None:
+    """One row per time t: the state, then every agent's input, left empty
+    on the final state."""
+    n = traj.states.shape[1]
+    header = ["t"] + [f"x_{j}" for j in range(n)]
+    for i, u in enumerate(traj.inputs):
+        header += [f"u{i}_{j}" for j in range(u.shape[1])]
+    inputs = np.hstack(traj.inputs)
     with _open_csv(path, provenance) as fh:
-        w = csv.writer(fh)
-        n = traj.states.shape[1]
-        header = ["t"] + [f"x_{j}" for j in range(n)]
-        for i, u in enumerate(traj.inputs):
-            header += [f"u{i}_{j}" for j in range(u.shape[1])]
-        w.writerow(header)
-        T = traj.horizon
-        for t in range(T + 1):
-            row = [t] + [repr(float(v)) for v in traj.states[t]]
-            for u in traj.inputs:
-                row += [repr(float(v)) for v in u[t]] if t < T \
-                    else [""] * u.shape[1]
-            w.writerow(row)
+        _write_rows(fh, [header])
+        for t in range(0, traj.horizon + 1, CHUNK_ROWS):
+            x = traj.states[t:t + CHUNK_ROWS]
+            u = inputs[t:t + CHUNK_ROWS]
+            cells = np.full((len(x), len(header)), "", dtype=object)
+            cells[:, 0] = np.arange(t, t + len(x)).astype(str)
+            cells[:, 1:1 + n] = _float_text(x)
+            cells[:len(u), 1 + n:] = _float_text(u)
+            _write_rows(fh, cells.tolist())
 
 
 def write_series_csv(rows, header, path, provenance=None) -> None:

@@ -9,6 +9,7 @@ invariant instead of raising, so arbitrary input can be inspected.
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -139,6 +140,22 @@ class GameSpec:
             raise AttributeError("GameSpec is immutable")
         object.__setattr__(self, name, value)
 
+    def __getstate__(self):
+        # The cached stage, step scratch buffer included, is rebuilt on
+        # the first step after unpickling.
+        return {name: getattr(self, name) for name in self.__slots__
+                if name != "_stage"}
+
+    def __setstate__(self, state):
+        # Restored slot by slot, not through __init__: Q and R are stored
+        # symmetrized, so re-ingesting them would reset the asymmetry
+        # that validate_game reports.
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_stage", None)
+        for a in (self.A, self.W, *self.B, *self.Q, *self.R):
+            a.setflags(write=False)
+
     def __repr__(self):
         return (f"GameSpec(n={self.n}, num_agents={self.num_agents}, "
                 f"input_dims={self.input_dims})")
@@ -249,14 +266,17 @@ class GainTuple(_MatrixTuple):
     """Ordered tuple of per-agent feedback gains, one m_i x n per agent.
 
     Gains act through u^i = -K^i x, so the closed loop is A - sum_j B^j K^j.
+    rows[i] is the slice of agent i's rows in the stacked (sum m_i, n) gains.
     """
 
-    __slots__ = ("_solve", "_rows")
+    __slots__ = ("_solve", "rows")
 
     def __init__(self, entries):
-        object.__setattr__(self, "entries", tuple(
-            _freeze(np.atleast_2d(np.asarray(e, dtype=float)))
-            for e in entries))
+        mats = tuple(_freeze(np.atleast_2d(np.asarray(e, dtype=float)))
+                     for e in entries)
+        object.__setattr__(self, "entries", mats)
+        ends = list(accumulate((m.shape[0] for m in mats), initial=0))
+        object.__setattr__(self, "rows", tuple(map(slice, ends, ends[1:])))
 
     @classmethod
     def _trusted(cls, solve, rows):
@@ -265,11 +285,22 @@ class GainTuple(_MatrixTuple):
         solve.setflags(write=False)
         obj = object.__new__(cls)
         object.__setattr__(obj, "_solve", solve)
-        object.__setattr__(obj, "_rows", rows)
+        object.__setattr__(obj, "rows", rows)
         return obj
 
     def _views(self):
-        return tuple(self._solve[rows] for rows in self._rows)
+        return tuple(self._solve[rows] for rows in self.rows)
+
+    @property
+    def stack(self) -> np.ndarray:
+        """The read-only (sum m_i, n) array whose rows rows[i] are K^i: the
+        stacked solve the tuple wraps or, for a tuple built from entries,
+        the entries stacked on first read."""
+        if not hasattr(self, "_solve"):
+            solve = np.vstack(self.entries)
+            solve.setflags(write=False)
+            object.__setattr__(self, "_solve", solve)
+        return self._solve
 
 
 @dataclass

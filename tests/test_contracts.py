@@ -5,7 +5,8 @@ detect_convergence finds on the full trace, riccati_step's value
 matrices come back exactly symmetric and, like its gains, read-only, the
 norm helpers reproduce np.linalg.norm bit for bit, and riccati_step
 matches the stage map written out agent by agent, on games whose agents
-have equal input dimensions and on games where they differ.
+have equal input dimensions and on games where they differ, and classify
+gives every valid game and terminal a verdict without raising.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
 import lqgames as lq
-from lqgames.experiments import random_game, random_terminal
+from lqgames.experiments import VERDICTS, random_game, random_terminal
 
 CELLS = [(1, 1, 2), (2, 1, 3), (3, 3, 2)]
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
@@ -143,3 +144,12 @@ def test_riccati_step_matches_reference_per_agent(case, steps):
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
     for m in image:
         assert np.array_equal(m, m.T)
+
+
+@PROPERTY
+@given(st.one_of(games(), mixed_games()), st.integers(1, 300))
+def test_classify_always_returns_a_verdict(case, horizon):
+    game, terminal = case
+    assert lq.validate_terminal(game, terminal).ok
+    verdict = lq.classify(game, terminal, lq.ClassifyOptions(horizon=horizon))
+    assert verdict.verdict in VERDICTS

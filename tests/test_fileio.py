@@ -3,10 +3,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lqgames as lq
 from lqgames import fileio
 from lqgames.experiments import _rng_for, random_game
+from lqgames.riccati import FULL_STORAGE_LIMIT
+from test_contracts import games, mixed_games
 
 
 def test_game_round_trip_bitwise(tmp_path):
@@ -87,6 +90,118 @@ def test_trace_csv_round_trip_exact(tmp_path):
                 == np.asarray(trace.gains[s][i]).ravel().tolist()
         else:
             assert kcols == [""] * len(kcols)
+
+
+def _oracle_trace_csv(trace, path, provenance=None):
+    """The trace export as csv.writer over per-agent entries: the
+    reference the stack-reading export must match byte for byte."""
+    with open(path, "w", newline="") as fh:
+        if provenance:
+            fh.write(fileio.provenance_line(**provenance) + "\n")
+        w = csv.writer(fh)
+        n = trace.p_states[0][0].shape[0]
+        m_max = max((k.shape[0] for k in trace.gains[0]), default=0) \
+            if trace.gains else 0
+        w.writerow(["step", "agent"]
+                   + [f"p_{r}_{c}" for r in range(n) for c in range(n)]
+                   + [f"k_{r}_{c}" for r in range(m_max) for c in range(n)])
+        blank = [""] * (m_max * n)
+        for s, p in enumerate(trace.p_states):
+            k = trace.gains[s] if s < len(trace.gains) else None
+            for i, Pi in enumerate(p):
+                row = [trace.first_step + s, i]
+                row += map(repr, Pi.ravel().tolist())
+                if k is None:
+                    row += blank
+                else:
+                    kcols = list(map(repr, k[i].ravel().tolist()))
+                    row += kcols
+                    row += blank[len(kcols):]
+                w.writerow(row)
+
+
+def _assert_trace_bytes(trace, tmp_path, provenance=None):
+    fileio.write_trace_csv(trace, tmp_path / "trace.csv", provenance)
+    _oracle_trace_csv(trace, tmp_path / "oracle.csv", provenance)
+    assert (tmp_path / "trace.csv").read_bytes() \
+        == (tmp_path / "oracle.csv").read_bytes()
+
+
+# Horizons on both sides of the export's chunk edges.
+@pytest.mark.parametrize("horizon", [0, 1, 255, 256, 257, 600])
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(st.one_of(games(), mixed_games()))
+def test_trace_csv_matches_csv_writer_oracle(tmp_path_factory, horizon, case):
+    game, terminal = case
+    trace = lq.run_recursion(game, terminal, horizon)
+    _assert_trace_bytes(trace, tmp_path_factory.mktemp("trace"),
+                        {"command": "run", "horizon": horizon})
+
+
+def test_ring_buffer_trace_csv_matches_oracle(tmp_path, fig1_game):
+    trace = lq.run_recursion(fig1_game, lq.PTuple([1.0, 2.0]),
+                             FULL_STORAGE_LIMIT + 300)
+    assert trace.first_step > 0
+    _assert_trace_bytes(trace, tmp_path)
+
+
+def test_certificate_trace_csv_matches_oracle(tmp_path, found_cycle):
+    trace = fileio.certificate_trace(found_cycle[2])
+    assert len(trace.gains) == len(trace.p_states)
+    _assert_trace_bytes(trace, tmp_path)
+
+
+def test_trace_csv_keys_floats_by_bits(tmp_path):
+    nan2 = np.array([0xFFF8000000000001], dtype=np.uint64).view(np.float64)[0]
+    # -0.0 beside 0.0, two NaN payloads and infinities in one chunk, with
+    # agents of unequal input widths.
+    inf = np.inf
+    states = [lq.PTuple([[[-0.0, 0.0], [0.0, 1.0]],
+                         [[np.nan, inf], [inf, nan2]]]),
+              lq.PTuple([[[0.0, -inf], [-inf, -0.0]], np.eye(2)]),
+              lq.PTuple([np.eye(2), -np.eye(2)])]
+    gains = [lq.GainTuple([[[-0.0, 0.0], [np.nan, 1e-300]], [[nan2, -inf]]]),
+             lq.GainTuple([[[0.0, -0.0], [inf, 5e-324]], [[-0.0, -0.0]]])]
+    trace = lq.RecursionTrace(states, gains,
+                              lq.TerminationRecord("completed", 2, 0.0), 7)
+    _assert_trace_bytes(trace, tmp_path)
+    text = (tmp_path / "trace.csv").read_text()
+    assert "-0.0" in text and "nan" in text and "-inf" in text
+
+
+def _oracle_trajectory_csv(traj, path, provenance=None):
+    """The trajectory export as csv.writer with one repr per entry."""
+    with open(path, "w", newline="") as fh:
+        if provenance:
+            fh.write(fileio.provenance_line(**provenance) + "\n")
+        w = csv.writer(fh)
+        n = traj.states.shape[1]
+        header = ["t"] + [f"x_{j}" for j in range(n)]
+        for i, u in enumerate(traj.inputs):
+            header += [f"u{i}_{j}" for j in range(u.shape[1])]
+        w.writerow(header)
+        T = traj.horizon
+        for t in range(T + 1):
+            row = [t] + [repr(float(v)) for v in traj.states[t]]
+            for u in traj.inputs:
+                row += [repr(float(v)) for v in u[t]] if t < T \
+                    else [""] * u.shape[1]
+            w.writerow(row)
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+def test_trajectory_csv_matches_oracle(tmp_path, seed):
+    game = lq.GameSpec(np.eye(2) * 1.1, [[[1.0], [0.0]], np.eye(2)],
+                       [np.eye(2)] * 2, [1.0, np.eye(2)], W=0.01 * np.eye(2))
+    T = 300
+    trace = lq.run_recursion(game, lq.PTuple([np.eye(2)] * 2), T)
+    traj = lq.simulate(game, trace.forward_gains(T), [1.0, -0.0], T,
+                       seed=seed)
+    prov = {"command": "simulate", "horizon": T, "seed": seed}
+    fileio.write_trajectory_csv(traj, tmp_path / "traj.csv", prov)
+    _oracle_trajectory_csv(traj, tmp_path / "oracle.csv", prov)
+    assert (tmp_path / "traj.csv").read_bytes() \
+        == (tmp_path / "oracle.csv").read_bytes()
 
 
 def test_termination_json(tmp_path, fig1_game):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -83,6 +86,50 @@ def test_gamespec_is_immutable(fig1_game):
     p = lq.PTuple([1.0, 2.0])
     with pytest.raises(AttributeError):
         p.entries = ()
+
+
+def test_gamespec_pickles_without_its_stage():
+    rng = np.random.default_rng(5)
+    A = rng.uniform(-1.0, 1.0, (3, 3))
+    B = [rng.uniform(-1.0, 1.0, (3, 2)) for _ in range(2)]
+    q = np.eye(3) + np.triu(np.full((3, 3), 0.5), 1)   # asymmetric Q^1
+    game = lq.GameSpec(A, B, [q, np.eye(3)], [np.eye(2)] * 2)
+    assert not lq.validate_game(game).ok
+    p = lq.PTuple([np.eye(3)] * 2)
+    size = len(pickle.dumps(game))
+    image = lq.riccati_step(p, game)
+    assert game._stage is not None
+    # The cached stage and its scratch buffer are left out of a pickle.
+    assert len(pickle.dumps(game)) == size
+    for back in (pickle.loads(pickle.dumps(game)), copy.deepcopy(game)):
+        assert back._stage is None
+        assert back.asymmetry == game.asymmetry
+        assert lq.validate_game(back).failure_text() \
+            == lq.validate_game(game).failure_text()
+        for a, b in zip((game.A, game.W, *game.B, *game.Q, *game.R),
+                        (back.A, back.W, *back.B, *back.Q, *back.R)):
+            assert a.tobytes() == b.tobytes() and not b.flags.writeable
+        with pytest.raises(AttributeError):
+            back.A = np.eye(3)
+        again = lq.riccati_step(p, back)
+        assert again[0].stack.tobytes() == image[0].stack.tobytes()
+        assert again[1].stack.tobytes() == image[1].stack.tobytes()
+
+
+def test_gain_tuple_stack():
+    entries = [np.arange(6.0).reshape(2, 3), [[-0.0, 1.5, np.nan]]]
+    built = lq.GainTuple(entries)
+    assert built.rows == (slice(0, 2), slice(2, 3))
+    stack = built.stack
+    assert stack is built.stack and not stack.flags.writeable
+    assert stack.tobytes() == np.vstack(entries).tobytes()
+    game = lq.GameSpec(np.eye(3), [np.eye(3)[:, :2], np.ones((3, 1))],
+                       [np.eye(3)] * 2, [np.eye(2), 1.0])
+    gains = lq.riccati_step(lq.PTuple([np.eye(3)] * 2), game)[1]
+    # A stepped tuple's stack is the solve its entries view, not a copy.
+    for i, rows in enumerate(gains.rows):
+        assert np.shares_memory(gains[i], gains.stack)
+        assert gains[i].tobytes() == gains.stack[rows].tobytes()
 
 
 def test_pbh_fig1_pair():
