@@ -29,7 +29,7 @@ from .equilibria import (NoEquilibriumFound, residual_descent_search,
 from .experiments import (CensusIncomplete, cycle_census, run_basin_grid,
                           run_ensemble)
 from .model import PTuple, validate_game, validate_terminal
-from .riccati import ConvergenceStop, run_recursion
+from .riccati import FULL_STORAGE_LIMIT, ConvergenceStop, run_recursion
 from .simulate import simulate
 
 # Integer options that count steps or items and must be at least 1.
@@ -162,6 +162,9 @@ def parse_config(argv) -> RunConfig:
     for name in _POSITIVE:
         if name in params and params[name] < 1:
             raise UsageError(f"--{name} must be at least 1, got {params[name]}")
+    if command == "simulate" and params["horizon"] > FULL_STORAGE_LIMIT:
+        raise UsageError(f"--horizon must be at most {FULL_STORAGE_LIMIT} "
+                         "for simulate, which needs every stage's gains")
     for name in ("game", "terminal", "phases"):
         if name in table and table[name][1] is None and params.get(name) is None:
             raise UsageError(f"--{name} is required for '{command}'")

@@ -2,11 +2,11 @@
 
 Two routes that avoid iterating the backward recursion:
 
-* scalar_two_agent_equilibria - the scalar two-agent case reduces to a
-  pair of coupled scalar algebraic equations; all positive real solutions
-  are bracketed by sign changes on a wide logarithmic grid and polished by
-  a damped 2-D Newton step, so equilibria the recursion never reaches
-  (saddles) are found too.
+* scalar_two_agent_equilibria - the scalar two-agent case is a pair of
+  coupled scalar fixed-point equations; all positive real solutions are
+  bracketed by sign changes of the stage map's residual on a wide
+  logarithmic grid and polished by a damped 2-D Newton, so equilibria the
+  recursion never reaches (saddles) are found too.
 * residual_descent_search - general dimensions; drives the fixed-point
   residual of the stage map to zero by damped Gauss-Newton from a set of
   initializations. The objective is sum_i ||P^i - f(P)^i||_F^2 with f the
@@ -25,10 +25,23 @@ from scipy.optimize import least_squares
 from .analysis import NashVerification, nash_verify_stationary
 from .model import GainTuple, GameSpec, PTuple
 from .riccati import (NoConvergence, NotStabilizable, SingularStageSystem,
-                      riccati_step)
+                      _solve_each, _stage_map_batch, riccati_step)
 
 # Points closer than this (relative) are considered the same equilibrium.
 DEDUP_TOL = 1e-6
+# A found point passes when the stationary Nash verification holds to this.
+VERIFY_TOL = 1e-8
+# Points per axis of the scalar enumeration's logarithmic grid, and the
+# batches it is evaluated in, which bound its memory.
+GRID_POINTS = 200
+GRID_BANDS = 8
+# Half-width, in ulps per axis, of the lattice searched for a point the
+# stage map holds exactly stationary.
+PIN_MAX_ULPS = 60
+# Descent: least_squares evaluations per start, and the sum of squared
+# residuals below which a converged point counts as a fixed point.
+DESCENT_MAX_NFEV = 10_000
+DESCENT_ACCEPT_TOL = 1e-16
 
 
 class NoEquilibriumFound(RuntimeError):
@@ -67,207 +80,146 @@ class EquilibriumSet:
         return best, dist
 
 
-def _scalar_params(game: GameSpec) -> tuple[float, ...]:
-    a = float(game.A[0, 0])
-    b1 = float(game.B[0][0, 0])
-    b2 = float(game.B[1][0, 0])
-    q1 = float(game.Q[0][0, 0])
-    q2 = float(game.Q[1][0, 0])
-    r1 = float(game.R[0][0, 0])
-    r2 = float(game.R[1][0, 0])
-    return a, b1, b2, q1, q2, r1, r2
+def _image(game: GameSpec, x: np.ndarray) -> np.ndarray:
+    """The engine's stage map of a scalar two-agent game at a (K, 2) batch
+    of (P^1, P^2) pairs, as a (K, 2) array; a singular member is NaN."""
+    values, _ = _stage_map_batch(game, x.reshape(-1, 2, 1, 1))
+    return values.reshape(-1, 2)
 
 
-def _scalar_residual(P1, P2, a, b1, b2, q1, q2, r1, r2):
-    """Fixed-point residual of the scalar two-agent stage map, vectorized.
-
-    Solves the 2x2 stage-gain system in closed form (Cramer) and returns
-    (F1, F2, K1, K2, Acl) where F_i = f(P)_i - P_i.
-    """
-    m11 = r1 + b1 * b1 * P1
-    m12 = b1 * b2 * P1
-    m21 = b1 * b2 * P2
-    m22 = r2 + b2 * b2 * P2
-    det = m11 * m22 - m12 * m21
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k1 = (b1 * P1 * a * m22 - m12 * b2 * P2 * a) / det
-        k2 = (m11 * b2 * P2 * a - m21 * b1 * P1 * a) / det
-    acl = a - b1 * k1 - b2 * k2
-    F1 = q1 + r1 * k1 * k1 + acl * acl * P1 - P1
-    F2 = q2 + r2 * k2 * k2 + acl * acl * P2 - P2
-    return F1, F2, k1, k2, acl
-
-
-def _newton_polish(P1, P2, params, tol=1e-12, max_iter=80):
-    """Damped 2-D Newton on the scalar residual with finite-difference
-    Jacobian; returns the refined root or None."""
-
-    def res(p1, p2):
-        F1, F2, _, _, _ = _scalar_residual(p1, p2, *params)
-        return np.array([F1, F2], dtype=float)
-
-    x = np.array([P1, P2], dtype=float)
-    f = res(*x)
-    for _ in range(max_iter):
-        scale = 1.0 + np.abs(x)
-        if np.max(np.abs(f) / scale) < tol:
-            return x
-        J = np.empty((2, 2))
-        for j in range(2):
-            h = 1e-7 * scale[j]
-            bumped = x.copy()
-            bumped[j] += h
-            J[:, j] = (res(*bumped) - f) / h
-        try:
-            step = np.linalg.solve(J, -f)
-        except np.linalg.LinAlgError:
-            return None
+def _newton(game: GameSpec, x: np.ndarray, pin: bool = False):
+    """Damped Newton on f(x) - x, f the engine's scalar stage map, batched
+    over a (K, 2) array of positive starts. The Jacobian is a forward
+    difference with step 1e-7 (1 + |x_j|); a step is halved until the
+    residual norm falls (or the factor is below 1e-6) with every entry
+    positive and finite. A start stops where no step passes, after 80
+    steps, or once max |f(x) - x| / (1 + |x|) is below 1e-12 or, with
+    pin=True, zero or its relative step below 1e-14. Returns the last
+    iterates and the mask of those with residual below 1e-12."""
+    x = np.array(x, dtype=float)
+    f = _image(game, x) - x
+    live = np.ones(len(x), dtype=bool)
+    for _ in range(80):
+        rel = np.max(np.abs(f) / (1.0 + np.abs(x)), axis=1)
+        live &= (rel != 0.0) if pin else ~(rel < 1e-12)
+        if not live.any():
+            break
+        h = 1e-7 * (1.0 + np.abs(x))
+        bumps = [x + e * h for e in np.eye(2)]
+        J = np.stack([(_image(game, b) - b - f) / h[:, [j]]
+                      for j, b in enumerate(bumps)], axis=2)
+        step = _solve_each(J, -f[:, :, None])[:, :, 0]
+        todo = live & np.all(np.isfinite(step), axis=1)
+        if pin:
+            todo &= np.max(np.abs(step) / (1.0 + np.abs(x)), axis=1) >= 1e-14
         # Backtrack: halve until the residual decreases and stays positive.
-        t = 1.0
+        live[:] = False         # until a step is taken
+        t = np.ones(len(x))
+        norm = np.linalg.norm(f, axis=1)
         for _ in range(40):
-            x_new = x + t * step
-            if np.all(x_new > 0):
-                f_new = res(*x_new)
-                if np.all(np.isfinite(f_new)) and (
-                        np.linalg.norm(f_new) < np.linalg.norm(f) or t < 1e-6):
-                    x, f = x_new, f_new
-                    break
-            t *= 0.5
-        else:
-            return None
-    scale = 1.0 + np.abs(x)
-    return x if np.max(np.abs(f) / scale) < tol else None
+            if not todo.any():
+                break
+            cand = x + t[:, None] * step
+            ok = todo & np.all(cand > 0, axis=1)
+            fc = _image(game, np.where(ok[:, None], cand, x)) - cand
+            ok &= np.all(np.isfinite(fc), axis=1) & (
+                (np.linalg.norm(fc, axis=1) < norm) | (t < 1e-6))
+            x[ok], f[ok] = cand[ok], fc[ok]
+            live |= ok
+            todo &= ~ok
+            t[todo] *= 0.5
+    return x, np.max(np.abs(f) / (1.0 + np.abs(x)), axis=1) < 1e-12
 
 
-def _pin_to_stage_map(game: GameSpec, p1: float, p2: float,
-                      max_ulps: int = 60) -> tuple[float, float]:
-    """Refine a scalar root until the computed stage map is stationary.
-
-    Newton-polishes against the engine's own one-step map, then searches
-    the surrounding float64 lattice (outward by Chebyshev rings) for a
-    point the computed map sends exactly to itself. Such a point exists
-    for typical games within a few tens of ulps; when found, choosing it
-    as a terminal cost pins the recursion bit for bit, which matters at
-    saddle fixed points where any rounding residue is amplified. Falls
-    back to the Newton point when no exactly stationary neighbor exists.
-    """
-
-    def f_map(x1, x2):
-        # Scalars are symmetric as they are: wrap them without PTuple's
-        # coercion, and read the image from its stack.
-        p = PTuple._trusted(np.array([x1, x2]).reshape(2, 1, 1))
-        image = riccati_step(p, game)[0].stack
-        return float(image[0, 0, 0]), float(image[1, 0, 0])
-
-    x = np.array([p1, p2], dtype=float)
-    for _ in range(50):
-        fx = np.array(f_map(*x))
-        r = fx - x
-        if np.all(r == 0.0):
-            return float(x[0]), float(x[1])
-        J = np.empty((2, 2))
-        for j in range(2):
-            h = 1e-7 * (1.0 + abs(x[j]))
-            bumped = x.copy()
-            bumped[j] += h
-            J[:, j] = (np.array(f_map(*bumped)) - fx) / h
-        try:
-            step = np.linalg.solve(J - np.eye(2), -r)
-        except np.linalg.LinAlgError:
-            break
-        if np.max(np.abs(step) / (1.0 + np.abs(x))) < 1e-14:
-            break
-        x = x + step
-
+def _pin_to_stage_map(game: GameSpec, x: np.ndarray) -> tuple[float, float]:
+    """A point near the positive Newton root x that the engine's stage
+    map sends exactly to itself, searched outward by Chebyshev rings of
+    the float64 lattice (one batched evaluation per ring, first hit in
+    ring order), or x when none lies within PIN_MAX_ULPS. Typical games
+    have one within a few tens of ulps. As a terminal cost it pins the
+    recursion bit for bit, which matters at saddles, where any rounding
+    residue is amplified."""
     # Attracting points pin themselves: a short burst of map iterations
     # either lands on an exactly stationary pair or cycles through a few
     # ulps; only saddles need the lattice search below.
-    y = (float(x[0]), float(x[1]))
+    y = x.reshape(1, 2)
+    seen = set()
     for _ in range(200):
-        fy = f_map(*y)
-        if fy == y:
-            return y
-        if max(abs(fy[0] - y[0]) / (1.0 + abs(y[0])),
-               abs(fy[1] - y[1]) / (1.0 + abs(y[1]))) > 1e-11:
+        fy = _image(game, y)
+        if np.array_equal(fy, y):
+            return float(y[0, 0]), float(y[0, 1])
+        if np.max(np.abs(fy - y) / (1.0 + np.abs(y))) > 1e-11:
             break               # walking away from the root: a saddle
+        seen.add(y.tobytes())
+        if fy.tobytes() in seen:
+            break               # a cycle of the map: no stationary pair on it
         y = fy
 
-    def lattice(value):
-        """The 2 * max_ulps + 1 floats around value; entry max_ulps + k is
-        value stepped k ulps."""
-        down, up = [value], [value]
-        for _ in range(max_ulps):
-            down.append(np.nextafter(down[-1], -np.inf))
-            up.append(np.nextafter(up[-1], np.inf))
-        return [float(v) for v in down[:0:-1] + up]
-
-    axis1, axis2 = lattice(x[0]), lattice(x[1])
-    for radius in range(max_ulps + 1):
-        ring = [(d1, d2) for d1 in range(-radius, radius + 1)
-                for d2 in range(-radius, radius + 1)
-                if max(abs(d1), abs(d2)) == radius]
-        for d1, d2 in ring:
-            x1, x2 = axis1[max_ulps + d1], axis2[max_ulps + d2]
-            if f_map(x1, x2) == (x1, x2):
-                return x1, x2
+    # Stepping a positive float's bits by k steps it k ulps.
+    offsets = np.arange(-PIN_MAX_ULPS, PIN_MAX_ULPS + 1)
+    axes = (x.reshape(2, 1).view(np.int64) + offsets).view(np.float64)
+    lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    chebyshev = np.maximum.outer(abs(offsets), abs(offsets))
+    for radius in range(PIN_MAX_ULPS + 1):
+        pts = lattice[chebyshev == radius]     # row-major: the ring order
+        hits = np.flatnonzero(np.all(_image(game, pts) == pts, axis=1))
+        if hits.size:
+            return float(pts[hits[0], 0]), float(pts[hits[0], 1])
     return float(x[0]), float(x[1])
 
 
-def scalar_two_agent_equilibria(game: GameSpec, grid_points: int = 200,
-                                p_min: float = 1e-4, p_max: float = 1e6,
-                                verify_tol: float = 1e-8,
+def scalar_two_agent_equilibria(game: GameSpec, p_min: float = 1e-4,
+                                p_max: float = 1e6,
                                 pin: bool = True) -> EquilibriumSet:
     """Enumerate all stationary equilibria of a scalar two-agent game.
 
-    Scans (P1, P2) over a grid_points x grid_points logarithmic grid in
-    [p_min, p_max]^2, keeps the cells where both residual components
-    change sign, polishes each by Newton, deduplicates, and verifies.
-    With pin=True each root is further refined until the engine's own
-    stage map holds it exactly stationary (see _pin_to_stage_map), so the
-    points double as recursion-pinning terminal costs. Unstable fixed
-    points of the algebraic equations (|Acl| >= 1) are not equilibria and
-    are only counted in the metadata. Raises NoEquilibriumFound when
-    nothing verifies.
+    Evaluates the engine's stage map on a GRID_POINTS x GRID_POINTS
+    logarithmic grid of (P1, P2) in [p_min, p_max]^2, in GRID_BANDS
+    batches, keeps the cells where both residual components change sign,
+    polishes their centres by one batched Newton, deduplicates, and
+    verifies. With pin=True the roots are refined until the same map
+    holds each exactly stationary (see _pin_to_stage_map), so the points
+    double as recursion-pinning terminal costs. Unstable fixed points
+    (|Acl| >= 1) are not equilibria and are only counted in the metadata.
+    Raises NoEquilibriumFound when nothing verifies.
     """
     if game.n != 1 or game.num_agents != 2:
         raise ValueError("enumeration requires n = 1 and exactly two agents")
-    params = _scalar_params(game)
 
-    axis = np.logspace(np.log10(p_min), np.log10(p_max), grid_points)
-    P1, P2 = np.meshgrid(axis, axis, indexing="ij")
-    F1, F2, _, _, _ = _scalar_residual(P1, P2, *params)
-    valid = np.isfinite(F1) & np.isfinite(F2)
-    s1 = np.sign(F1)
-    s2 = np.sign(F2)
+    axis = np.logspace(np.log10(p_min), np.log10(p_max), GRID_POINTS)
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
+    F = np.concatenate([_image(game, band) - band for band in np.array_split(
+        grid.reshape(-1, 2), GRID_BANDS)]).reshape(grid.shape)
 
-    def mixed(s):
-        c00, c10 = s[:-1, :-1], s[1:, :-1]
-        c01, c11 = s[:-1, 1:], s[1:, 1:]
-        return ~((c00 == c10) & (c00 == c01) & (c00 == c11))
+    def corners(a):
+        return a[:-1, :-1], a[1:, :-1], a[:-1, 1:], a[1:, 1:]
 
-    ok = (valid[:-1, :-1] & valid[1:, :-1] & valid[:-1, 1:] & valid[1:, 1:])
-    cells = np.argwhere(mixed(s1) & mixed(s2) & ok)
+    # Cells whose corners are all finite and where both residual
+    # components take more than one sign.
+    c00, *others = corners(np.sign(F))
+    mixed = ~np.logical_and.reduce([c00 == c for c in others])
+    finite = np.logical_and.reduce(corners(np.all(np.isfinite(F), axis=-1)))
+    cells = np.argwhere(finite & np.all(mixed, axis=-1))
 
+    centres = np.sqrt(axis[cells] * axis[cells + 1])   # geometric
+    polished, converged = _newton(game, centres)
     roots: list[np.ndarray] = []
-    for ci, cj in cells:
-        x0 = np.sqrt(axis[ci] * axis[ci + 1])   # geometric cell center
-        y0 = np.sqrt(axis[cj] * axis[cj + 1])
-        root = _newton_polish(x0, y0, params)
-        if root is None or not np.all(root > 0):
-            continue
+    for root in polished[converged]:
         if all(np.max(np.abs(root - r) / (1.0 + np.abs(r))) > DEDUP_TOL
                for r in roots):
             roots.append(root)
+    roots.sort(key=lambda r: (r[0], r[1]))
+    if pin and roots:
+        refined, _ = _newton(game, np.array(roots), pin=True)
+        roots = [_pin_to_stage_map(game, x) for x in refined]
 
     points = []
     unstable = 0
     failed = 0
-    for root in sorted(roots, key=lambda r: (r[0], r[1])):
-        if pin:
-            root = _pin_to_stage_map(game, root[0], root[1])
+    for root in roots:
         p = PTuple([root[0], root[1]])
         try:
-            report = nash_verify_stationary(p, game, tol=verify_tol)
+            report = nash_verify_stationary(p, game, tol=VERIFY_TOL)
         except SingularStageSystem:
             failed += 1
             continue
@@ -279,7 +231,7 @@ def scalar_two_agent_equilibria(game: GameSpec, grid_points: int = 200,
             failed += 1
 
     metadata = {
-        "grid_points": grid_points,
+        "grid_points": GRID_POINTS,
         "p_range": (p_min, p_max),
         "candidate_cells": int(len(cells)),
         "roots_polished": len(roots),
@@ -296,35 +248,28 @@ def scalar_two_agent_equilibria(game: GameSpec, grid_points: int = 200,
                           search_metadata=metadata)
 
 
-def _pack(p: PTuple, n: int, N: int) -> np.ndarray:
+def _pack(p: PTuple, n: int) -> np.ndarray:
     iu = np.triu_indices(n)
-    return np.concatenate([np.asarray(p[i])[iu] for i in range(N)])
+    return p.stack[:, iu[0], iu[1]].ravel()
 
 
 def _unpack(x: np.ndarray, n: int, N: int) -> PTuple:
     iu = np.triu_indices(n)
-    per = len(iu[0])
-    mats = []
-    for i in range(N):
-        m = np.zeros((n, n))
-        m[iu] = x[i * per:(i + 1) * per]
-        m = m + np.triu(m, 1).T
-        mats.append(m)
-    return PTuple(mats)
+    m = np.zeros((N, n, n))
+    m[:, iu[0], iu[1]] = x.reshape(N, -1)
+    return PTuple(m + np.triu(m, 1).swapaxes(-1, -2))
 
 
 def residual_descent_search(game: GameSpec, inits=None, restarts: int = 20,
-                            max_iter: int = 10_000, seed: int = 0,
-                            accept_tol: float = 1e-16,
-                            verify_tol: float = 1e-8) -> EquilibriumSet:
+                            seed: int = 0) -> EquilibriumSet:
     """Search for stationary equilibria by driving the fixed-point
     residual to zero.
 
     Runs damped Gauss-Newton (scipy least_squares on the stacked residual
     vec(P - f(P))) from each supplied initialization plus `restarts`
     random positive-definite ones. A point is accepted only when the
-    squared residual falls below accept_tol and the full stationary Nash
-    verification passes. An empty set is a valid outcome.
+    squared residual falls below DESCENT_ACCEPT_TOL and the full stationary
+    Nash verification passes. An empty set is a valid outcome.
     """
     n, N = game.n, game.num_agents
     rng = np.random.default_rng(seed)
@@ -335,8 +280,7 @@ def residual_descent_search(game: GameSpec, inits=None, restarts: int = 20,
             image, _ = riccati_step(p, game)
         except SingularStageSystem:
             return np.full(N * n * n, 1e6)
-        return np.concatenate([(np.asarray(p[i]) - np.asarray(image[i])).ravel()
-                               for i in range(N)])
+        return (p.stack - image.stack).ravel()
 
     starts: list[PTuple] = list(inits) if inits else []
     starts.append(PTuple(game.Q))
@@ -353,22 +297,22 @@ def residual_descent_search(game: GameSpec, inits=None, restarts: int = 20,
     accepted = 0
     for start in starts:
         attempts += 1
-        x0 = _pack(start, n, N)
+        x0 = _pack(start, n)
         try:
             result = least_squares(residual_vec, x0, method="trf",
                                    xtol=1e-15, ftol=1e-15, gtol=1e-15,
-                                   max_nfev=max_iter)
+                                   max_nfev=DESCENT_MAX_NFEV)
         except (ValueError, np.linalg.LinAlgError):
             continue
         phi = float(2.0 * result.cost)       # sum of squared residuals
-        if not phi < accept_tol:
+        if not phi < DESCENT_ACCEPT_TOL:
             continue
         p = _unpack(result.x, n, N)
         if any(p.distance(s) < DEDUP_TOL for s in seen):
             continue
         seen.append(p)
         try:
-            report = nash_verify_stationary(p, game, tol=verify_tol)
+            report = nash_verify_stationary(p, game, tol=VERIFY_TOL)
         except (SingularStageSystem, NotStabilizable, NoConvergence):
             continue
         if report.ok:

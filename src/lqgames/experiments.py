@@ -19,8 +19,7 @@ import numpy as np
 from .analysis import (ClassifyOptions, VERDICT_BOUNDED, VERDICT_CONVERGED,
                        VERDICT_CYCLE, VERDICT_DIVERGED, VERDICT_SINGULAR,
                        classify)
-from .equilibria import (EquilibriumSet, _newton_polish, _scalar_params,
-                         scalar_two_agent_equilibria)
+from .equilibria import EquilibriumSet, _newton, scalar_two_agent_equilibria
 from .model import GameSpec, PTuple, validate_game
 
 VERDICTS = (VERDICT_CONVERGED, VERDICT_CYCLE, VERDICT_BOUNDED,
@@ -117,9 +116,10 @@ def run_basin_grid(game: GameSpec, axis_samples: int = 100,
     Maps each (Q_T^1, Q_T^2) on a uniform grid over (lo, hi] (the lower
     endpoint is excluded), labels converged cells by the nearest known
     equilibrium, and records steps to converge. Converged fixed points are
-    Newton-polished before matching so labels do not depend on how slowly
-    a boundary cell settled. Raises ValueError unless the range is finite
-    with 0 <= lo < hi, so every terminal cost is positive definite.
+    Newton-polished, in one batch after the grid, before matching so labels
+    do not depend on how slowly a boundary cell settled. Raises ValueError
+    unless the range is finite with 0 <= lo < hi, so every terminal cost
+    is positive definite.
     """
     if game.n != 1 or game.num_agents != 2:
         raise ValueError("basin mapping requires n = 1 and two agents")
@@ -131,10 +131,9 @@ def run_basin_grid(game: GameSpec, axis_samples: int = 100,
         opts = ClassifyOptions()
     if equilibria is None:
         equilibria = scalar_two_agent_equilibria(game)
-    params = _scalar_params(game)
     axis = np.linspace(lo, hi, axis_samples + 1)[1:]
 
-    cells = []
+    cells, converged, starts = [], [], []
     for qt1 in axis:
         for qt2 in axis:
             verdict = classify(game, PTuple([qt1, qt2]), opts)
@@ -142,14 +141,16 @@ def run_basin_grid(game: GameSpec, axis_samples: int = 100,
                              verdict=verdict.verdict)
             if verdict.verdict == VERDICT_CONVERGED:
                 cell.steps_to_converge = verdict.steps_to_converge
-                p = verdict.fixed_point
-                root = _newton_polish(float(np.asarray(p[0])[0, 0]),
-                                      float(np.asarray(p[1])[0, 0]), params)
-                point = PTuple([root[0], root[1]]) if root is not None else p
-                idx, dist = equilibria.nearest(point)
-                cell.distance = dist
-                cell.label = idx if dist <= BASIN_LABEL_TOL else None
+                converged.append(cell)
+                starts.append(verdict.fixed_point.stack.ravel().tolist())
             cells.append(cell)
+    if converged:
+        polished, ok = _newton(game, np.array(starts))
+        for cell, point in zip(converged,
+                               np.where(ok[:, None], polished, starts)):
+            idx, dist = equilibria.nearest(PTuple([point[0], point[1]]))
+            cell.distance = dist
+            cell.label = idx if dist <= BASIN_LABEL_TOL else None
     return BasinMap(grid_axes=(axis, axis), cells=cells, equilibria=equilibria)
 
 

@@ -13,16 +13,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import Classification, CycleCertificate, spectral_radius
+from .analysis import Classification, CycleCertificate
 from .equilibria import EquilibriumSet
 from .experiments import BasinMap, CycleCensus, EnsembleReport, VERDICTS
-from .model import GameSpec, PTuple
-from .riccati import RecursionTrace, TerminationRecord, closed_loop
+from .model import GameSpec, PTuple, stack_norms
+from .riccati import RecursionTrace, TerminationRecord
 
 
 # States (or time steps) formatted and written at a time by the long
 # float tables: the trace and the trajectory.
 CHUNK_ROWS = 256
+# Rows of a plot series formatted and written at a time.
+SERIES_CHUNK_ROWS = 4096
 
 
 def _matrix(m: np.ndarray) -> list:
@@ -76,18 +78,18 @@ def _open_csv(path, provenance: dict | None):
     return fh
 
 
-def _float_text(values: np.ndarray) -> np.ndarray:
-    """repr of every float in values, as an object array of its shape.
+def _text(values: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """repr of every entry of values taken as dtype (float64, or int64 for
+    whole numbers), as an object array of its shape.
 
     repr runs once per distinct bit pattern: keys are bits, never float
     values, because -0.0 == 0.0 prints differently and NaN never compares
     equal. Long traces repeat their settled floats, so this is far fewer
     calls than one per entry.
     """
-    values = np.ascontiguousarray(values, dtype=np.float64)
+    values = np.ascontiguousarray(values, dtype=dtype)
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = np.array(list(map(repr, bits.view(np.float64).tolist())),
-                    dtype=object)
+    text = np.array(list(map(repr, bits.view(dtype).tolist())), dtype=object)
     return text[inverse].reshape(values.shape)
 
 
@@ -121,9 +123,9 @@ def write_trace_csv(trace: RecursionTrace, path, provenance=None) -> None:
             cells = np.full((S, N, k0 + m_max * n), "", dtype=object)
             cells[:, :, 0] = np.arange(step, step + S).astype(str)[:, None]
             cells[:, :, 1] = np.arange(N).astype(str)
-            cells[:, :, 2:k0] = _float_text(P).reshape(S, N, n * n)
+            cells[:, :, 2:k0] = _text(P).reshape(S, N, n * n)
             if K:
-                text = _float_text(np.stack(K))
+                text = _text(np.stack(K))
                 for i, r in enumerate(rows):
                     cells[:len(K), i, k0:k0 + (r.stop - r.start) * n] = \
                         text[:, r].reshape(len(K), -1)
@@ -285,45 +287,61 @@ def write_trajectory_csv(traj, path, provenance=None) -> None:
             u = inputs[t:t + CHUNK_ROWS]
             cells = np.full((len(x), len(header)), "", dtype=object)
             cells[:, 0] = np.arange(t, t + len(x)).astype(str)
-            cells[:, 1:1 + n] = _float_text(x)
-            cells[:len(u), 1 + n:] = _float_text(u)
+            cells[:, 1:1 + n] = _text(x)
+            cells[:len(u), 1 + n:] = _text(u)
             _write_rows(fh, cells.tolist())
 
 
-def write_series_csv(rows, header, path, provenance=None) -> None:
+def write_series_csv(series, header, path, provenance=None) -> None:
+    """One row per row of an (R, c) series: its c - 1 leading columns as
+    integers, then its value as repr, SERIES_CHUNK_ROWS rows at a time."""
     with _open_csv(path, provenance) as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(v) if isinstance(v, float) else v for v in row])
+        _write_rows(fh, [header])
+        for start in range(0, len(series), SERIES_CHUNK_ROWS):
+            chunk = series[start:start + SERIES_CHUNK_ROWS]
+            cells = np.empty(chunk.shape, dtype=object)
+            cells[:, :-1] = _text(chunk[:, :-1], np.int64)
+            cells[:, -1] = _text(chunk[:, -1])
+            _write_rows(fh, cells.tolist())
 
 
-def trace_gain_series(trace: RecursionTrace):
-    """Rows (step, agent, row, col, gain value) over a trace."""
-    rows = []
-    for s, k in enumerate(trace.gains):
-        for i, Ki in enumerate(k):
-            for r in range(Ki.shape[0]):
-                for c in range(Ki.shape[1]):
-                    rows.append((trace.first_step + s, i, r, c,
-                                 float(Ki[r, c])))
-    return rows
+def _series(*columns) -> np.ndarray:
+    """Index columns and a value column, broadcast together, as the rows
+    of an (R, len(columns)) series."""
+    return np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(
+        -1, len(columns))
+
+
+def trace_gain_series(trace: RecursionTrace) -> np.ndarray:
+    """Rows (step, agent, row, col, gain value) over a trace, read from the
+    gain stacks, whose rows run agent by agent."""
+    if not trace.gains:
+        return np.empty((0, 5))
+    K = np.stack([k.stack for k in trace.gains])
+    widths = [r.stop - r.start for r in trace.gains[0].rows]
+    agent = np.repeat(np.arange(len(widths)), widths)
+    row = np.concatenate([np.arange(m) for m in widths])
+    return _series((trace.first_step + np.arange(len(K)))[:, None, None],
+                   agent[:, None], row[:, None], np.arange(K.shape[2]), K)
 
 
 def trace_value_series(trace: RecursionTrace, game: GameSpec):
-    """Per-step Frobenius distance to the first stored state (one row per
-    step and agent) and closed-loop spectral radius (one row per step)."""
-    ref = trace.p_states[0]
-    diff_rows = []
-    for s, p in enumerate(trace.p_states):
-        for i in range(game.num_agents):
-            d = float(np.linalg.norm(np.asarray(p[i]) - np.asarray(ref[i])))
-            diff_rows.append((trace.first_step + s, i, d))
-    rho_rows = []
-    for s, k in enumerate(trace.gains):
-        rho_rows.append((trace.first_step + s,
-                         spectral_radius(closed_loop(game, k))))
-    return diff_rows, rho_rows
+    """Per-step Frobenius distance to the first stored state, as (step,
+    agent, distance) rows, and closed-loop spectral radius, as (step,
+    radius) rows, read from the stacks."""
+    P = np.stack([p.stack for p in trace.p_states])
+    S, N, n, _ = P.shape
+    norms = stack_norms((P - P[0]).reshape(-1, n, n)).reshape(S, N)
+    steps = trace.first_step + np.arange(S)
+    diffs = _series(steps[:, None], np.arange(N), norms)
+    if not trace.gains:
+        return diffs, np.empty((0, 2))
+    K = np.stack([k.stack for k in trace.gains])
+    Acl = np.repeat(game.A[None], len(K), axis=0)
+    for Bj, rows in zip(game.B, trace.gains[0].rows):
+        Acl -= Bj @ K[:, rows]
+    rho = np.max(np.abs(np.linalg.eigvals(Acl)), axis=-1)
+    return diffs, _series(steps[:len(K)], rho)
 
 
 def certificate_trace(cert: CycleCertificate, periods: int = 4) -> RecursionTrace:
@@ -351,20 +369,19 @@ def export_trace_figures(trace_or_cert, game: GameSpec, out_dir,
         trace = certificate_trace(trace)
     elif not isinstance(trace, RecursionTrace):
         raise TypeError("expected a RecursionTrace or a CycleCertificate")
-    diff_rows, rho_rows = trace_value_series(trace, game)
-    gain_rows = trace_gain_series(trace)
+    diffs, rhos = trace_value_series(trace, game)
+    gains = trace_gain_series(trace)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
-    for rows, header, name in (
-            (gain_rows, ["step", "agent", "row", "col", "value"],
+    for series, header, name in (
+            (gains, ["step", "agent", "row", "col", "value"],
              "gain_series.csv"),
-            (diff_rows, ["step", "agent", "frobenius_diff"],
+            (diffs, ["step", "agent", "frobenius_diff"],
              "value_distance_series.csv"),
-            (rho_rows, ["step", "spectral_radius"],
-             "closed_loop_spectra.csv")):
+            (rhos, ["step", "spectral_radius"], "closed_loop_spectra.csv")):
         target = out / name
-        write_series_csv(rows, header, target, provenance)
+        write_series_csv(series, header, target, provenance)
         paths.append(target)
     return paths
 

@@ -157,51 +157,75 @@ class _Stage:
         self.terms[0] = A
 
 
+def _solve_each(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """np.linalg.solve over a (K, m, m) stack; an exactly singular member
+    comes back NaN, found by halving, instead of failing the stack."""
+    try:
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        if len(M) == 1:
+            return np.full(rhs.shape, np.nan)
+        h = len(M) // 2
+        return np.concatenate([_solve_each(M[:h], rhs[:h]),
+                               _solve_each(M[h:], rhs[h:])])
+
+
 def _stage_map(stage: _Stage, P: np.ndarray):
-    """The stage map at next-step values P, an (N, n, n) stack.
+    """The stage map at next-step values P, an (N, n, n) stack or a
+    (K, N, n, n) batch of them.
 
     Assembles the stacked gain system [M | rhs] = (B')_i P^i [B^1 ... B^N
     | A] plus block-diagonal R (gathering the real rows out of the padded
-    ones when the m_i differ), LU-factors it and raises
+    ones when the m_i differ). One stack is LU-factored, raising
     SingularStageSystem when the factorization fails, M is not finite, or
     the LAPACK reciprocal condition estimate of M (1-norm) is below
-    SINGULARITY_RCOND. Then forms Acl = A - B^1 K^1 - B^2 K^2 - ... in
+    SINGULARITY_RCOND. gecon has no batched form, so a batch goes through
+    stacked np.linalg.solve and raises nothing: an exactly singular member
+    comes back non-finite. Then forms Acl = A - B^1 K^1 - B^2 K^2 - ... in
     that order and updates every agent through Q^i + ((K^i)' R^i) K^i +
-    (Acl' P^i) Acl, symmetrized. Returns the fresh (N, n, n) values and
-    the (sum m, n) stacked gains, whose rows stage.rows[i] are K^i.
+    (Acl' P^i) Acl, symmetrized. Returns values shaped like P and each
+    stack's (sum m, n) stacked gains, whose rows stage.rows[i] are K^i.
     """
     total = len(stage.R_block)
-    system = (stage.BT @ P @ stage.BsA).reshape(-1, stage.BsA.shape[1])
-    if stage.padded_rows is not None:
-        system = system[stage.padded_rows]
-    M = system[:, :total]
-    M += stage.R_block
-    anorm = _lange("1", M)
-    lu, piv, info = _getrf(M)
-    if info > 0 or not math.isfinite(anorm):
-        raise SingularStageSystem(0.0)
-    rcond = float(_gecon(lu, anorm, "1")[0])
-    if rcond < SINGULARITY_RCOND:
-        raise SingularStageSystem(rcond)
-    gains, info = _getrs(lu, piv, system[:, total:])
-    if info != 0:
-        raise SingularStageSystem(rcond)
-
     N, n, mb = stage.B.shape
-    if stage.padded_rows is None:
-        K = gains.reshape(N, mb, n)
+    lead = P.shape[:-3]
+    system = (stage.BT @ P @ stage.BsA).reshape(lead + (N * mb, total + n))
+    if stage.padded_rows is not None:
+        system = system[..., stage.padded_rows, :]
+    M = system[..., :total]
+    M += stage.R_block
+    if lead:
+        gains = _solve_each(M, system[..., total:])
     else:
-        K = np.zeros((N * mb, n))
-        K[stage.padded_rows] = gains
-        K = K.reshape(N, mb, n)
+        anorm = _lange("1", M)
+        lu, piv, info = _getrf(M)
+        if info > 0 or not math.isfinite(anorm):
+            raise SingularStageSystem(0.0)
+        rcond = float(_gecon(lu, anorm, "1")[0])
+        if rcond < SINGULARITY_RCOND:
+            raise SingularStageSystem(rcond)
+        gains, info = _getrs(lu, piv, system[:, total:])
+        if info != 0:
+            raise SingularStageSystem(rcond)
+
+    if stage.padded_rows is None:
+        K = gains.reshape(lead + (N, mb, n))
+    else:
+        K = np.zeros(lead + (N * mb, n))
+        K[..., stage.padded_rows, :] = gains
+        K = K.reshape(lead + (N, mb, n))
     # Subtract B^j K^j one agent at a time, never as A - [B^1 ... B^N] K:
     # a re-associated map leaves saddle equilibria such as Fig. 1's with
     # no exactly stationary float neighbour for pinning.
     terms = stage.terms
-    np.matmul(stage.B, K, out=terms[1:])
-    Acl = np.subtract.reduce(terms)
-    values = stage.Q + K.transpose(0, 2, 1) @ stage.R @ K
-    values += Acl.T @ P @ Acl
+    if lead:                    # the step scratch holds one stack only
+        terms = np.empty(lead + terms.shape)
+        terms[:, 0] = stage.A
+    np.matmul(stage.B, K, out=terms[..., 1:, :, :])
+    # A batch's Acl keeps a unit agent axis to broadcast over its stack.
+    Acl = np.subtract.reduce(terms, axis=-3, keepdims=bool(lead))
+    values = stage.Q + K.mT @ stage.R @ K
+    values += Acl.mT @ P @ Acl
     return symmetrize(values), gains
 
 
@@ -233,10 +257,7 @@ def riccati_step(p_next: PTuple, game: GameSpec) -> tuple[PTuple, GainTuple]:
     one game share scratch space, so they must not run in two threads at
     once; separate processes, or separate GameSpec objects, are fine.
     """
-    stage = game._stage
-    if stage is None:           # the game's stacked arrays, built once
-        stage = _Stage(game.A, game.B, game.Q, game.R)
-        object.__setattr__(game, "_stage", stage)
+    stage = game._stage or _cache_stage(game)
     P = p_next.stack
     if P.shape != stage.Q.shape:
         # The stacked products would broadcast a single matrix silently.
@@ -244,6 +265,18 @@ def riccati_step(p_next: PTuple, game: GameSpec) -> tuple[PTuple, GainTuple]:
                          f"the game's {stage.Q.shape}")
     values, gains = _stage_map(stage, P)
     return PTuple._trusted(values), GainTuple._trusted(gains, stage.rows)
+
+
+def _cache_stage(game: GameSpec) -> _Stage:
+    """The game's stacked arrays, built on its first step and kept."""
+    object.__setattr__(game, "_stage", _Stage(game.A, game.B, game.Q, game.R))
+    return game._stage
+
+
+def _stage_map_batch(game: GameSpec, P: np.ndarray):
+    """riccati_step's arrays at a (K, N, n, n) batch of value stacks,
+    raising nothing (see _stage_map); bit-identical to it for n = m_i = 1."""
+    return _stage_map(game._stage or _cache_stage(game), P)
 
 
 class ConvergenceStop:

@@ -185,6 +185,21 @@ def test_simulate_command_reproducible(tmp_path, fig1_files):
             "value_distance_series.csv", "closed_loop_spectra.csv"} <= names
 
 
+def test_simulate_horizon_beyond_full_storage_is_usage_error(
+        tmp_path, fig1_files, capsys):
+    game_path, term_path = fig1_files
+    args = ["simulate", "--game", str(game_path), "--terminal",
+            str(term_path)]
+    limit = lq.riccati.FULL_STORAGE_LIMIT
+    assert parse_config(args + ["--horizon", str(limit)])
+    out = tmp_path / "o"
+    rc = main(args + ["--horizon", str(limit + 1), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and str(limit) in err
+    assert not out.exists()         # rejected before any output or step
+
+
 def test_cli_subprocess_entry(tmp_path, fig1_files):
     game_path, _ = fig1_files
     out = tmp_path / "sub"

@@ -5,16 +5,21 @@ detect_convergence finds on the full trace, riccati_step's value
 matrices come back exactly symmetric and, like its gains, read-only, the
 norm helpers reproduce np.linalg.norm bit for bit, and riccati_step
 matches the stage map written out agent by agent, on games whose agents
-have equal input dimensions and on games where they differ, and classify
-gives every valid game and terminal a verdict without raising.
+have equal input dimensions and on games where they differ, the stage
+map over a batch of value stacks gives each member what riccati_step
+gives it (bit for bit for scalar games) with an exactly singular member
+left non-finite on its own, and classify gives every valid game and
+terminal a verdict without raising.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
 import lqgames as lq
 from lqgames.experiments import VERDICTS, random_game, random_terminal
+from lqgames.riccati import _stage_map_batch
 
 CELLS = [(1, 1, 2), (2, 1, 3), (3, 3, 2)]
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
@@ -101,13 +106,18 @@ def mixed_games(draw):
     return game, random_terminal(game, rng)
 
 
-def reference_step(p, game):
-    """The stage map of the riccati module docstring, agent by agent."""
+def stage_system(p, game):
+    """The stacked gain system M K = rhs at p, block by block."""
     PB = [Bi.T @ Pi for Bi, Pi in zip(game.B, p)]
     M = np.block([[PB[i] @ Bj + (game.R[i] if i == j else 0.0)
                    for j, Bj in enumerate(game.B)]
                   for i in range(game.num_agents)])
-    rhs = np.vstack([PBi @ game.A for PBi in PB])
+    return M, np.vstack([PBi @ game.A for PBi in PB])
+
+
+def reference_step(p, game):
+    """The stage map of the riccati module docstring, agent by agent."""
+    M, rhs = stage_system(p, game)
     K = lu_solve(lu_factor(M), rhs)
     ends = np.cumsum(game.input_dims)
     gains = np.split(K, ends[:-1])
@@ -144,6 +154,65 @@ def test_riccati_step_matches_reference_per_agent(case, steps):
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
     for m in image:
         assert np.array_equal(m, m.T)
+
+
+# A batch of one, of two, and one longer than any SIMD width.
+BATCH_SIZES = st.sampled_from([1, 2, 37])
+
+
+@PROPERTY
+@given(st.one_of(games(), mixed_games()), BATCH_SIZES,
+       st.integers(0, 2 ** 32 - 1))
+def test_batched_stage_map_matches_riccati_step(case, size, seed):
+    game, p = case
+    rng = np.random.default_rng(seed)
+    members = [p] + [random_terminal(game, rng) for _ in range(size - 1)]
+    stacks = np.stack([q.stack for q in members])
+    values, gains = _stage_map_batch(game, stacks)
+    assert values.shape == (size, *p.stack.shape)
+    scalar = game.n == 1 and set(game.input_dims) == {1}
+    for q, v, k in zip(members, values, gains):
+        try:
+            image, ref = lq.riccati_step(q, game)
+        except lq.SingularStageSystem:
+            continue            # the batch has no rcond check to match
+        if scalar:
+            assert v.tobytes() == image.stack.tobytes()
+            assert k.tobytes() == ref.stack.tobytes()
+            continue
+        # The batch solves through numpy's LAPACK, riccati_step through
+        # scipy's: their LU rounding differs, amplified by the condition
+        # number of the stage matrix.
+        tol = max(1e-13, 1e-16 * np.linalg.cond(stage_system(q, game)[0], 1))
+        for got, want in ((v, image.stack), (k, ref.stack)):
+            assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+
+@PROPERTY
+@given(st.sampled_from([1, 2]), st.sampled_from([1, 2]), BATCH_SIZES,
+       st.integers(0, 2 ** 32 - 1))
+def test_singular_batch_member_leaves_the_others_alone(n, m, size, seed):
+    rng = np.random.default_rng(seed)
+    # Agent 0 has B = R = I, so the values (-I, 0) zero the first n
+    # columns of the stage matrix: it is exactly singular.
+    game = lq.GameSpec(rng.uniform(-2.0, 2.0, (n, n)),
+                       [np.eye(n), rng.uniform(-1.0, 1.0, (n, m))],
+                       [np.eye(n), np.eye(n)],
+                       [np.eye(n), (1.0 + rng.uniform()) * np.eye(m)])
+    singular = lq.PTuple([-np.eye(n), np.zeros((n, n))])
+    with pytest.raises(lq.SingularStageSystem):
+        lq.riccati_step(singular, game)
+    stacks = np.stack([random_terminal(game, rng).stack for _ in range(size)])
+    at = int(rng.integers(size))
+    batch = stacks.copy()
+    batch[at] = singular.stack
+    values, gains = _stage_map_batch(game, batch)
+    assert not np.isfinite(values[at]).any()
+    assert not np.isfinite(gains[at]).any()
+    others = np.arange(size) != at
+    ref_values, ref_gains = _stage_map_batch(game, stacks[others])
+    assert values[others].tobytes() == ref_values.tobytes()
+    assert gains[others].tobytes() == ref_gains.tobytes()
 
 
 @PROPERTY

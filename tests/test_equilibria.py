@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import lqgames as lq
-from lqgames.equilibria import _scalar_residual, _scalar_params
 from lqgames.experiments import _rng_for, random_game
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -68,21 +67,6 @@ def test_no_equilibrium_in_restricted_scan_range(fig1_game):
     # nothing and says so
     with pytest.raises(lq.NoEquilibriumFound):
         lq.scalar_two_agent_equilibria(fig1_game, p_min=1e-4, p_max=1e-3)
-
-
-def test_scalar_residual_matches_engine(fig1_game):
-    params = _scalar_params(fig1_game)
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        p1, p2 = rng.uniform(0.1, 50.0, 2)
-        F1, F2, k1, k2, acl = _scalar_residual(p1, p2, *params)
-        image, gains = lq.riccati_step(lq.PTuple([p1, p2]), fig1_game)
-        assert F1 == pytest.approx(
-            float(np.asarray(image[0])[0, 0]) - p1, abs=1e-9)
-        assert F2 == pytest.approx(
-            float(np.asarray(image[1])[0, 0]) - p2, abs=1e-9)
-        assert k1 == pytest.approx(float(gains[0][0, 0]), abs=1e-10)
-        assert k2 == pytest.approx(float(gains[1][0, 0]), abs=1e-10)
 
 
 def test_descent_finds_scalar_lqr_solution(scalar_lqr):

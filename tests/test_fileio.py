@@ -204,6 +204,79 @@ def test_trajectory_csv_matches_oracle(tmp_path, seed):
         == (tmp_path / "oracle.csv").read_bytes()
 
 
+def _oracle_trace_figures(trace, game, out_dir, provenance=None):
+    """The trace figures as csv.writer rows with one repr per value, read
+    entry by entry: one norm per agent and one eigvals per step."""
+    ref = trace.p_states[0]
+    series = {
+        "gain_series.csv": (
+            ["step", "agent", "row", "col", "value"],
+            [(trace.first_step + s, i, r, c, float(Ki[r, c]))
+             for s, k in enumerate(trace.gains) for i, Ki in enumerate(k)
+             for r in range(Ki.shape[0]) for c in range(Ki.shape[1])]),
+        "value_distance_series.csv": (
+            ["step", "agent", "frobenius_diff"],
+            [(trace.first_step + s, i,
+              float(np.linalg.norm(np.asarray(p[i]) - np.asarray(ref[i]))))
+             for s, p in enumerate(trace.p_states)
+             for i in range(game.num_agents)]),
+        "closed_loop_spectra.csv": (
+            ["step", "spectral_radius"],
+            [(trace.first_step + s,
+              lq.spectral_radius(lq.closed_loop(game, k)))
+             for s, k in enumerate(trace.gains)]),
+    }
+    out_dir.mkdir()
+    for name, (header, rows) in series.items():
+        with open(out_dir / name, "w", newline="") as fh:
+            if provenance:
+                fh.write(fileio.provenance_line(**provenance) + "\n")
+            w = csv.writer(fh)
+            w.writerow(header)
+            for row in rows:
+                w.writerow([repr(v) if isinstance(v, float) else v
+                            for v in row])
+    return sorted(series)
+
+
+def _assert_figure_bytes(trace_or_cert, game, tmp_path, provenance=None):
+    paths = lq.export_trace_figures(trace_or_cert, game, tmp_path / "out",
+                                    provenance)
+    trace = trace_or_cert
+    if isinstance(trace, lq.CycleCertificate):
+        trace = fileio.certificate_trace(trace)
+    names = _oracle_trace_figures(trace, game, tmp_path / "oracle",
+                                  provenance)
+    assert sorted(p.name for p in paths) == names
+    for name in names:
+        assert (tmp_path / "out" / name).read_bytes() \
+            == (tmp_path / "oracle" / name).read_bytes()
+
+
+# Horizons around the series chunk: a (3,3,2) game writes 18 gain rows a
+# step, so 600 steps cross SERIES_CHUNK_ROWS twice.
+@pytest.mark.parametrize("horizon", [0, 1, 227, 600])
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(st.one_of(games(), mixed_games()))
+def test_trace_figures_match_csv_writer_oracle(tmp_path_factory, horizon,
+                                               case):
+    game, terminal = case
+    trace = lq.run_recursion(game, terminal, horizon)
+    _assert_figure_bytes(trace, game, tmp_path_factory.mktemp("figures"),
+                         {"command": "simulate", "horizon": horizon})
+
+
+def test_ring_buffer_and_certificate_figures_match_oracle(tmp_path,
+                                                          fig1_game,
+                                                          found_cycle):
+    trace = lq.run_recursion(fig1_game, lq.PTuple([1.0, 2.0]),
+                             FULL_STORAGE_LIMIT + 300)
+    assert trace.first_step > 0
+    _assert_figure_bytes(trace, fig1_game, tmp_path / "ring")
+    game, _, cert = found_cycle
+    _assert_figure_bytes(cert, game, tmp_path / "cert", {"seed": 0})
+
+
 def test_termination_json(tmp_path, fig1_game):
     trace = lq.run_recursion(fig1_game, lq.PTuple([1.0, 1.0]), 50,
                              stop=lq.ConvergenceStop())
