@@ -3,20 +3,23 @@
 Commands: validate, run, classify, basin, ensemble, census, equilibria,
 verify-cycle, simulate. Each writes its artifacts into one output
 directory per invocation together with a manifest that echoes the fully
-resolved configuration. Option values resolve as: command-line flag over
-config-file entry over built-in default; unknown config keys are rejected
-by name. Exit codes: 0 success, 1 domain failure, 2 usage error. A game,
-terminal or phases file that is missing, unreadable or fails validation
-is a usage error, except that validate reports a failing game with exit 1.
-Phases are checked for count, shape and finiteness; certification judges
-the rest.
+resolved configuration and lists every artifact. The directory is made
+with the first artifact, so a run that fails before writing one (every
+usage error among them) leaves no directory. Option values resolve as:
+command-line flag over config-file entry over built-in default; unknown
+config keys, booleans, and non-integral numbers for integer options are
+rejected by name. Exit codes: 0 success, 1 domain failure, 2 usage
+error. A game, terminal or phases file that is missing, unreadable or
+fails validation is a usage error, except that validate reports a
+failing game with exit 1. Phases are checked for count, shape and
+finiteness; certification judges the rest.
 """
 
 import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -129,8 +132,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def parse_config(argv) -> RunConfig:
     """Resolve flags, config file, and defaults into one RunConfig.
 
-    Raises UsageError (exit code 2) on unknown config keys or missing
-    required values.
+    Raises UsageError (exit code 2) on unknown config keys, config
+    entries of the wrong type, or missing required values.
     """
     args = _build_parser().parse_args(argv)
     command = args.command
@@ -153,10 +156,16 @@ def parse_config(argv) -> RunConfig:
         if flag_value is not None:
             params[name] = flag_value
         elif name in from_file and from_file[name] is not None:
+            value = from_file[name]
             try:
-                params[name] = typ(from_file[name])
-            except (TypeError, ValueError):
-                raise UsageError(f"config entry '{name}' is not a {typ.__name__}")
+                if isinstance(value, bool) or (
+                        typ is int and isinstance(value, float)
+                        and not value.is_integer()):
+                    raise ValueError
+                params[name] = typ(value)
+            except (TypeError, ValueError, OverflowError):
+                raise UsageError(f"config entry '{name}' is not a "
+                                 f"{typ.__name__}: {value!r}")
         else:
             params[name] = default
     for name in _POSITIVE:
@@ -169,17 +178,6 @@ def parse_config(argv) -> RunConfig:
         if name in table and table[name][1] is None and params.get(name) is None:
             raise UsageError(f"--{name} is required for '{command}'")
     return RunConfig(command=command, params=params)
-
-
-def _make_out_dir(config: RunConfig) -> Path:
-    base = config.params.get("out") or f"runs/{config.command}"
-    path = Path(base)
-    suffix = 1
-    while path.exists() and any(path.iterdir()):
-        suffix += 1
-        path = Path(f"{base}-{suffix}")
-    path.mkdir(parents=True, exist_ok=True)
-    return path
 
 
 def _read(path, reader, what: str):
@@ -255,34 +253,34 @@ def _parse_floats(text: str, sep: str, count: int, flag: str) -> list[float]:
     return values
 
 
-def _echo(resolved: dict) -> None:
-    print(json.dumps({"resolved_config": resolved}, indent=1))
-
-
 def dispatch(config: RunConfig) -> int:
-    """Run one resolved command; returns the process exit code."""
-    out = _make_out_dir(config)
+    """Run one resolved command; returns the process exit code. The output
+    directory, --out or runs/<command> suffixed -2, -3, ... while it holds
+    files, is made with the first artifact."""
+    base = config.params.get("out") or f"runs/{config.command}"
+    out = Path(base)
+    suffix = 1
+    while out.exists() and any(out.iterdir()):
+        suffix += 1
+        out = Path(f"{base}-{suffix}")
     resolved = dict(config.params)
     resolved["out"] = str(out)
-    _echo(resolved)
+    print(json.dumps({"resolved_config": resolved}, indent=1))
     artifacts: list[Path] = []
     code = 0
     p = config.params
 
+    def save(name: str, write, obj, *args) -> None:
+        """Make the output directory, write(obj, out / name, *args) and
+        list the file for the manifest."""
+        out.mkdir(parents=True, exist_ok=True)
+        write(obj, out / name, *args)
+        artifacts.append(out / name)
+
     if config.command == "validate":
-        game = _read(p["game"], fileio.read_game, "game")
-        report = validate_game(game)
-        doc = {
-            "ok": report.ok,
-            "stabilizable": report.stabilizable,
-            "definiteness_failures": report.definiteness_failures,
-            "dimension_failures": report.dimension_failures,
-            "symmetry_failures": report.symmetry_failures,
-            "provenance": resolved,
-        }
-        target = out / "validation.json"
-        target.write_text(json.dumps(doc, indent=1))
-        artifacts.append(target)
+        report = validate_game(_read(p["game"], fileio.read_game, "game"))
+        save("validation.json", fileio._write_json, asdict(report),
+             {"provenance": resolved})
         print(f"ok={report.ok} stabilizable={report.stabilizable}")
         code = 0 if report.ok else 1
 
@@ -295,13 +293,9 @@ def dispatch(config: RunConfig) -> int:
         trace = run_recursion(game, terminal, p["horizon"], stop=stop)
         prov = {"command": "run", "horizon": p["horizon"],
                 "conv_tol": p["conv-tol"]}
-        target = out / "trace.csv"
-        fileio.write_trace_csv(trace, target, prov)
-        artifacts.append(target)
-        target = out / "termination.json"
-        fileio.write_termination_json(trace.terminated, target,
-                                      extra={"provenance": resolved})
-        artifacts.append(target)
+        save("trace.csv", fileio.write_trace_csv, trace, prov)
+        save("termination.json", fileio.write_termination_json,
+             trace.terminated, {"provenance": resolved})
         print(f"terminated: {trace.terminated.reason} "
               f"after {trace.terminated.steps} steps")
         code = 1 if trace.terminated.reason == "singular" else 0
@@ -314,19 +308,13 @@ def dispatch(config: RunConfig) -> int:
                                cycle_tol=p["cycle-tol"],
                                max_period=p["max-period"])
         verdict = classify(game, terminal, opts)
-        target = out / "classification.json"
-        doc = fileio.classification_dict(verdict)
-        doc["provenance"] = resolved
-        target.write_text(json.dumps(doc, indent=1))
-        artifacts.append(target)
+        save("classification.json", fileio._write_json,
+             fileio.classification_dict(verdict), {"provenance": resolved})
         if verdict.certificate is not None:
-            target = out / "certificate.json"
-            fileio.write_certificate_json(verdict.certificate, target,
-                                          extra={"provenance": resolved})
-            artifacts.append(target)
-            target = out / "phase_spectra.csv"
-            fileio.write_phase_spectra_csv(verdict.certificate, target)
-            artifacts.append(target)
+            save("certificate.json", fileio.write_certificate_json,
+                 verdict.certificate, {"provenance": resolved})
+            save("phase_spectra.csv", fileio.write_phase_spectra_csv,
+                 verdict.certificate)
         print(f"verdict: {verdict.verdict}")
         code = 1 if verdict.verdict == VERDICT_SINGULAR else 0
 
@@ -340,12 +328,9 @@ def dispatch(config: RunConfig) -> int:
                                q_range=q_range, opts=opts)
         prov = {"command": "basin", "grid": p["grid"],
                 "range": p["range"], "horizon": p["horizon"]}
-        target = out / "basin.csv"
-        fileio.write_basin_csv(basin, target, prov)
-        artifacts.append(target)
-        target = out / "equilibria.csv"
-        fileio.write_equilibria_csv(basin.equilibria, target, prov)
-        artifacts.append(target)
+        save("basin.csv", fileio.write_basin_csv, basin, prov)
+        save("equilibria.csv", fileio.write_equilibria_csv,
+             basin.equilibria, prov)
         counts = basin.label_counts()
         print(f"cells: {len(basin.cells)}, labels: {counts}")
 
@@ -355,9 +340,7 @@ def dispatch(config: RunConfig) -> int:
         report = run_ensemble(cells, p["trials"], p["seed"], opts)
         prov = {"command": "ensemble", "seed": p["seed"],
                 "trials": p["trials"], "horizon": p["horizon"]}
-        target = out / "ensemble.csv"
-        fileio.write_ensemble_csv(report, target, prov)
-        artifacts.append(target)
+        save("ensemble.csv", fileio.write_ensemble_csv, report, prov)
         print(fileio.format_ensemble_table(report))
 
     elif config.command == "census":
@@ -373,9 +356,7 @@ def dispatch(config: RunConfig) -> int:
         prov = {"command": "census", "seed": p["seed"],
                 "target": p["target"], "horizon": p["horizon"],
                 "cap": p["cap"]}
-        target = out / "census.csv"
-        fileio.write_census_csv(census, target, prov)
-        artifacts.append(target)
+        save("census.csv", fileio.write_census_csv, census, prov)
         for cell, cc in sorted(census.cells.items()):
             print(f"cell {cell}: {sum(cc.histogram.values())} cycles in "
                   f"{cc.games_examined} games, histogram {dict(sorted(cc.histogram.items()))}")
@@ -399,9 +380,7 @@ def dispatch(config: RunConfig) -> int:
             return 1
         prov = {"command": "equilibria", "method": method,
                 "seed": p["seed"], "restarts": p["restarts"]}
-        target = out / "equilibria.csv"
-        fileio.write_equilibria_csv(eqs, target, prov)
-        artifacts.append(target)
+        save("equilibria.csv", fileio.write_equilibria_csv, eqs, prov)
         print(f"{len(eqs)} stationary equilibria ({method})")
         code = 0 if len(eqs) else 1
 
@@ -413,14 +392,10 @@ def dispatch(config: RunConfig) -> int:
         except CertificationFailed as err:
             print(f"certification failed: {err}", file=sys.stderr)
             return 1
-        target = out / "certificate.json"
-        fileio.write_certificate_json(cert, target,
-                                      extra={"provenance": resolved})
-        artifacts.append(target)
-        target = out / "phase_spectra.csv"
-        fileio.write_phase_spectra_csv(cert, target,
-                                       {"command": "verify-cycle"})
-        artifacts.append(target)
+        save("certificate.json", fileio.write_certificate_json, cert,
+             {"provenance": resolved})
+        save("phase_spectra.csv", fileio.write_phase_spectra_csv, cert,
+             {"command": "verify-cycle"})
         print(f"certified cycle of period {cert.period}, "
               f"rho(period product)={cert.product_spectral_radius:.6f}")
 
@@ -436,9 +411,7 @@ def dispatch(config: RunConfig) -> int:
             return 1
         traj = simulate(game, trace.forward_gains(T), x0, T, seed=p["seed"])
         prov = {"command": "simulate", "horizon": T, "seed": p["seed"]}
-        target = out / "trajectory.csv"
-        fileio.write_trajectory_csv(traj, target, prov)
-        artifacts.append(target)
+        save("trajectory.csv", fileio.write_trajectory_csv, traj, prov)
         artifacts.extend(fileio.export_trace_figures(trace, game, out, prov))
         print(f"simulated {T} steps; final state norm "
               f"{float(np.linalg.norm(traj.states[-1])):.3e}")

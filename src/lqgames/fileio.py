@@ -2,13 +2,14 @@
 
 Game files are JSON with keys "n", "num_agents", "input_dims", "A", "B",
 "Q", "R", "W"; matrices serialize as lists of rows. Floats round-trip
-exactly (shortest decimal repr). Tabular outputs are CSV with a header
+exactly (shortest decimal repr). Every JSON file is written by one
+writer, with one-space indentation. Tabular outputs are CSV with a header
 row, preceded by one '#' provenance comment carrying the seed and
-tolerance set of the run.
+tolerance set of the run; every table is written by one row writer.
 """
 
-import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +32,13 @@ def _matrix(m: np.ndarray) -> list:
     return [[float(v) for v in row] for row in np.atleast_2d(m)]
 
 
+def _write_json(doc: dict, path, extra: dict | None = None) -> None:
+    """doc, then the entries of extra, as indented JSON."""
+    Path(path).write_text(json.dumps({**doc, **(extra or {})}, indent=1))
+
+
 def write_game(game: GameSpec, path) -> None:
-    doc = {
+    _write_json({
         "n": game.n,
         "num_agents": game.num_agents,
         "input_dims": list(game.input_dims),
@@ -41,8 +47,7 @@ def write_game(game: GameSpec, path) -> None:
         "Q": [_matrix(q) for q in game.Q],
         "R": [_matrix(r) for r in game.R],
         "W": _matrix(game.W),
-    }
-    Path(path).write_text(json.dumps(doc, indent=1))
+    }, path)
 
 
 def read_game(path) -> GameSpec:
@@ -51,12 +56,17 @@ def read_game(path) -> GameSpec:
     missing = required - doc.keys()
     if missing:
         raise ValueError(f"game file {path} missing keys: {sorted(missing)}")
-    return GameSpec(doc["A"], doc["B"], doc["Q"], doc["R"], doc.get("W"))
+    game = GameSpec(doc["A"], doc["B"], doc["Q"], doc["R"], doc.get("W"))
+    for key, value in (("n", game.n), ("num_agents", game.num_agents),
+                       ("input_dims", list(game.input_dims))):
+        if doc[key] != value:
+            raise ValueError(f"game file {path} gives {key} {doc[key]}, "
+                             f"but its matrices give {value}")
+    return game
 
 
 def write_ptuple(p: PTuple, path) -> None:
-    Path(path).write_text(json.dumps(
-        {"entries": [_matrix(m) for m in p]}, indent=1))
+    _write_json({"entries": [_matrix(m) for m in p]}, path)
 
 
 def read_ptuple(path) -> PTuple:
@@ -100,6 +110,14 @@ def _write_rows(fh, rows) -> None:
     fh.write("".join([",".join(row) + "\r\n" for row in rows]))
 
 
+def _write_table(path, provenance, header, rows) -> None:
+    """A small table through _write_rows: None as an empty cell and any
+    other value as its str, as csv.writer writes ints, bools and strs."""
+    with _open_csv(path, provenance) as fh:
+        _write_rows(fh, [header] + [["" if v is None else str(v) for v in row]
+                                    for row in rows])
+
+
 def write_trace_csv(trace: RecursionTrace, path, provenance=None) -> None:
     """One row per (step, agent): row-major P entries then row-major K
     entries. Gain columns are padded to the widest agent and left empty on
@@ -132,20 +150,13 @@ def write_trace_csv(trace: RecursionTrace, path, provenance=None) -> None:
             _write_rows(fh, cells.reshape(S * N, -1).tolist())
 
 
-def termination_dict(term: TerminationRecord) -> dict:
+def write_termination_json(term: TerminationRecord, path,
+                           extra: dict | None = None) -> None:
     doc = {"reason": term.reason, "steps": term.steps,
            "final_residual": term.final_residual}
     if term.rcond is not None:
         doc["rcond"] = term.rcond
-    return doc
-
-
-def write_termination_json(term: TerminationRecord, path,
-                           extra: dict | None = None) -> None:
-    doc = termination_dict(term)
-    if extra:
-        doc.update(extra)
-    Path(path).write_text(json.dumps(doc, indent=1))
+    _write_json(doc, path, extra)
 
 
 def certificate_dict(cert: CycleCertificate) -> dict:
@@ -163,10 +174,7 @@ def certificate_dict(cert: CycleCertificate) -> dict:
 
 def write_certificate_json(cert: CycleCertificate, path,
                            extra: dict | None = None) -> None:
-    doc = certificate_dict(cert)
-    if extra:
-        doc.update(extra)
-    Path(path).write_text(json.dumps(doc, indent=1))
+    _write_json(certificate_dict(cert), path, extra)
 
 
 def read_phases(path) -> list[PTuple]:
@@ -178,71 +186,59 @@ def read_phases(path) -> list[PTuple]:
 
 
 def write_phase_spectra_csv(cert: CycleCertificate, path, provenance=None) -> None:
-    with _open_csv(path, provenance) as fh:
-        w = csv.writer(fh)
-        w.writerow(["phase", "closed_loop_spectral_radius"])
-        for l, rho in enumerate(cert.phase_spectral_radii):
-            w.writerow([l, repr(float(rho))])
+    _write_table(path, provenance, ["phase", "closed_loop_spectral_radius"],
+                 [(l, repr(float(rho)))
+                  for l, rho in enumerate(cert.phase_spectral_radii)])
 
 
 def classification_dict(c: Classification) -> dict:
-    doc: dict = {"verdict": c.verdict}
+    """The fields of c that are set, in field order."""
+    doc = {f.name: v for f in fields(c)
+           if (v := getattr(c, f.name)) is not None}
     if c.fixed_point is not None:
         doc["fixed_point"] = [_matrix(m) for m in c.fixed_point]
-    if c.steps_to_converge is not None:
-        doc["steps_to_converge"] = c.steps_to_converge
     if c.certificate is not None:
         doc["certificate"] = certificate_dict(c.certificate)
-    if c.sup_norm is not None:
-        doc["sup_norm"] = c.sup_norm
-    if c.steps_observed is not None:
-        doc["steps_observed"] = c.steps_observed
-    if c.step is not None:
-        doc["step"] = c.step
-    if c.rcond is not None:
-        doc["rcond"] = c.rcond
     return doc
 
 
 def write_equilibria_csv(eqs: EquilibriumSet, path, provenance=None) -> None:
     """One row per equilibrium: P entries, K entries, rho(Acl), residual."""
-    with _open_csv(path, provenance) as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "p_entries", "k_entries",
-                    "closed_loop_spectral_radius", "fixed_point_residual"])
-        for idx, pt in enumerate(eqs.points):
-            p_flat = ";".join(repr(float(v)) for m in pt.p
-                              for v in np.asarray(m).ravel())
-            k_flat = ";".join(repr(float(v)) for m in pt.gains
-                              for v in np.asarray(m).ravel())
-            w.writerow([idx, p_flat, k_flat,
-                        repr(pt.verification.closed_loop_spectral_radius),
-                        repr(pt.verification.fixed_point_residual)])
+    def flat(mats):
+        return ";".join(repr(float(v)) for m in mats
+                        for v in np.asarray(m).ravel())
+
+    _write_table(path, provenance,
+                 ["index", "p_entries", "k_entries",
+                  "closed_loop_spectral_radius", "fixed_point_residual"],
+                 [(idx, flat(pt.p), flat(pt.gains),
+                   repr(pt.verification.closed_loop_spectral_radius),
+                   repr(pt.verification.fixed_point_residual))
+                  for idx, pt in enumerate(eqs.points)])
 
 
 def write_basin_csv(basin: BasinMap, path, provenance=None) -> None:
-    with _open_csv(path, provenance) as fh:
-        w = csv.writer(fh)
-        w.writerow(["qt1", "qt2", "verdict", "label", "steps_to_converge",
-                    "distance"])
-        for c in basin.cells:
-            w.writerow([repr(c.qt1), repr(c.qt2), c.verdict,
-                        "" if c.label is None else c.label,
-                        "" if c.steps_to_converge is None else c.steps_to_converge,
-                        "" if c.distance is None else repr(c.distance)])
+    _write_table(path, provenance,
+                 ["qt1", "qt2", "verdict", "label", "steps_to_converge",
+                  "distance"],
+                 [(repr(c.qt1), repr(c.qt2), c.verdict, c.label,
+                   c.steps_to_converge,
+                   None if c.distance is None else repr(c.distance))
+                  for c in basin.cells])
 
 
 def write_ensemble_csv(report: EnsembleReport, path, provenance=None) -> None:
-    with _open_csv(path, provenance) as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "m", "N", "trials"] + list(VERDICTS)
-                   + [f"frac_{v}" for v in VERDICTS] + ["generation_failures"])
-        for (n, m, N), stats in sorted(report.cells.items()):
-            fr = stats.fractions(report.trials_per_cell)
-            w.writerow([n, m, N, report.trials_per_cell]
-                       + [stats.counts.get(v, 0) for v in VERDICTS]
-                       + [repr(fr[v]) for v in VERDICTS]
-                       + [stats.generation_failures])
+    rows = []
+    for cell, stats in sorted(report.cells.items()):
+        fr = stats.fractions(report.trials_per_cell)
+        rows.append([*cell, report.trials_per_cell]
+                    + [stats.counts.get(v, 0) for v in VERDICTS]
+                    + [repr(fr[v]) for v in VERDICTS]
+                    + [stats.generation_failures])
+    _write_table(path, provenance,
+                 ["n", "m", "N", "trials"] + list(VERDICTS)
+                 + [f"frac_{v}" for v in VERDICTS] + ["generation_failures"],
+                 rows)
 
 
 def format_ensemble_table(report: EnsembleReport) -> str:
@@ -262,14 +258,13 @@ def format_ensemble_table(report: EnsembleReport) -> str:
 
 
 def write_census_csv(census: CycleCensus, path, provenance=None) -> None:
-    with _open_csv(path, provenance) as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "m", "N", "period", "count", "games_examined",
-                    "complete"])
-        for (n, m, N), cc in sorted(census.cells.items()):
-            for period in sorted(cc.histogram):
-                w.writerow([n, m, N, period, cc.histogram[period],
-                            cc.games_examined, cc.complete])
+    _write_table(path, provenance,
+                 ["n", "m", "N", "period", "count", "games_examined",
+                  "complete"],
+                 [(*cell, period, cc.histogram[period], cc.games_examined,
+                   cc.complete)
+                  for cell, cc in sorted(census.cells.items())
+                  for period in sorted(cc.histogram)])
 
 
 def write_trajectory_csv(traj, path, provenance=None) -> None:
@@ -387,9 +382,6 @@ def export_trace_figures(trace_or_cert, game: GameSpec, out_dir,
 
 
 def write_manifest(out_dir, command: str, resolved: dict, artifacts) -> None:
-    doc = {
-        "command": command,
-        "resolved_config": resolved,
-        "artifacts": [str(a) for a in artifacts],
-    }
-    Path(out_dir, "manifest.json").write_text(json.dumps(doc, indent=1))
+    _write_json({"command": command, "resolved_config": resolved,
+                 "artifacts": [str(a) for a in artifacts]},
+                Path(out_dir, "manifest.json"))

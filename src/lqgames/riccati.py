@@ -33,6 +33,9 @@ DIVERGENCE_THRESHOLD = 1e12
 FULL_STORAGE_LIMIT = 10_000
 # Ring size: enough for cycle detection up to the default max period.
 RING_BUFFER_SIZE = 512
+# Best-response iteration: relative settling tolerance and step budget.
+BEST_RESPONSE_TOL = 1e-12
+BEST_RESPONSE_MAX_STEPS = 100_000
 
 
 class SingularStageSystem(RuntimeError):
@@ -361,7 +364,6 @@ def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
 
 
 def periodic_best_response(game: GameSpec, i: int, gain_cycle,
-                           tol: float = 1e-12, max_steps: int = 100_000,
                            ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Agent i's periodic Riccati solution against a frozen gain cycle.
 
@@ -369,31 +371,31 @@ def periodic_best_response(game: GameSpec, i: int, gain_cycle,
     Slot l's value is the stage map of agent i's single-agent game
     (A - sum_{j != i} B^j K^j_l, B^i, Q^i, R^i) at slot l+1's value
     (cyclically). Sweeps slots L-1..0 from Q^i until no slot's value moves
-    by tol relative to 1 + its previous norm, and returns the per-slot
-    values and the gains at them; L = 1 is the DARE. Raises NoConvergence,
-    naming the agent, after max_steps stage steps.
+    by BEST_RESPONSE_TOL relative to 1 + its previous norm, and returns the
+    per-slot values and the gains at them; L = 1 is the DARE. Raises
+    NoConvergence, naming the agent, after BEST_RESPONSE_MAX_STEPS stage
+    steps.
     """
     L = len(gain_cycle)
     stages = [_Stage(partial_closed_loop(game, k, i), (game.B[i],),
                      (game.Q[i],), (game.R[i],)) for k in gain_cycle]
     V = [stages[0].Q] * L
-    for _ in range(max_steps // L):
+    for _ in range(BEST_RESPONSE_MAX_STEPS // L):
         prev = list(V)
         for l in range(L - 1, -1, -1):
             V[l], _ = _stage_map(stages[l], V[(l + 1) % L])
         change = max(frobenius(v - p) / (1.0 + frobenius(p))
                      for v, p in zip(V, prev))
-        if change < tol:
+        if change < BEST_RESPONSE_TOL:
             gains = [_stage_map(stages[l], V[(l + 1) % L])[1]
                      for l in range(L)]
             return [v[0] for v in V], gains
     raise NoConvergence(
         f"periodic best response for agent {i} did not settle in "
-        f"{max_steps} stage steps")
+        f"{BEST_RESPONSE_MAX_STEPS} stage steps")
 
 
 def best_response_dare(game: GameSpec, i: int, others: GainTuple | None,
-                       tol: float = 1e-12, max_iter: int = 100_000,
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Single-agent stabilizing Riccati solution against frozen opponents.
 
@@ -405,12 +407,12 @@ def best_response_dare(game: GameSpec, i: int, others: GainTuple | None,
     strictly stable.
 
     Raises NotStabilizable when (Abar, B^i) fails the PBH test and
-    NoConvergence when the budget of max_iter stage steps runs out.
+    NoConvergence when periodic_best_response's budget runs out.
     """
     if others is None:
         others = GainTuple([np.zeros((m, game.n)) for m in game.input_dims])
     if not pbh_stabilizable(partial_closed_loop(game, others, i), game.B[i]):
         raise NotStabilizable(
             f"agent {i}: residual closed loop not stabilizable through B^{i}")
-    (P,), (K,) = periodic_best_response(game, i, [others], tol, max_iter)
+    (P,), (K,) = periodic_best_response(game, i, [others])
     return P, K

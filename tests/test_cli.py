@@ -9,6 +9,12 @@ from lqgames import fileio
 from lqgames.cli import main, parse_config, UsageError
 
 
+def assert_manifest_lists_every_file(out):
+    manifest = json.loads((out / "manifest.json").read_text())
+    listed = {p.rsplit("/", 1)[-1] for p in manifest["artifacts"]}
+    assert {p.name for p in out.iterdir()} == listed | {"manifest.json"}
+
+
 @pytest.fixture()
 def fig1_files(tmp_path, fig1_game):
     game_path = tmp_path / "fig1.json"
@@ -37,11 +43,69 @@ def test_parse_config_unknown_key_named(tmp_path):
                       "--terminal", "t"])
 
 
+@pytest.mark.parametrize("entries, name", [
+    ({"horizon": 2.9}, "horizon"),
+    ({"horizon": True}, "horizon"),
+    ({"conv-window": True}, "conv-window"),
+    ({"conv-tol": False}, "conv-tol"),
+    ({"horizon": "x"}, "horizon"),
+], ids=["fraction", "bool-int", "bool-window", "bool-float", "text"])
+def test_config_entries_of_wrong_type_are_usage_errors(
+        tmp_path, fig1_files, capsys, entries, name):
+    game_path, term_path = fig1_files
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entries))
+    out = tmp_path / "o"
+    rc = main(["run", "--game", str(game_path), "--terminal", str(term_path),
+               "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert f"config entry '{name}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_numbers_that_fit_their_type_are_accepted(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"horizon": 20.0, "conv-tol": 0,
+                               "conv-window": 3}))
+    params = parse_config(["run", "--config", str(cfg), "--game", "g",
+                           "--terminal", "t"]).params
+    assert params["horizon"] == 20 and type(params["horizon"]) is int
+    assert params["conv-tol"] == 0.0 and type(params["conv-tol"]) is float
+    assert params["conv-window"] == 3
+
+
 def test_missing_game_file_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "o"
     rc = main(["validate", "--game", str(tmp_path / "nope.json"),
-               "--out", str(tmp_path / "o")])
+               "--out", str(out)])
     assert rc == 2
     assert "nope.json" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "equilibria"])
+def test_game_keys_disagreeing_with_matrices_are_usage_errors(
+        tmp_path, fig1_files, capsys, command):
+    game_path, _ = fig1_files
+    doc = json.loads(game_path.read_text())
+    doc["num_agents"] = 5
+    game_path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    rc = main([command, "--game", str(game_path), "--out", str(out)])
+    assert rc == 2
+    assert "num_agents 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_equilibria_method_is_usage_error(tmp_path, fig1_files,
+                                                  capsys):
+    game_path, _ = fig1_files
+    out = tmp_path / "o"
+    rc = main(["equilibria", "--game", str(game_path), "--method", "nope",
+               "--out", str(out)])
+    assert rc == 2
+    assert "unknown method 'nope'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_required_flag_exits_2(tmp_path):
@@ -59,7 +123,7 @@ def test_validate_command(tmp_path, fig1_files, capsys):
     assert doc["ok"] and doc["stabilizable"]
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "validate"
-    assert manifest["artifacts"]
+    assert manifest["artifacts"] == [str(out / "validation.json")]
 
 
 def test_validate_bad_game_exits_1(tmp_path):
@@ -89,6 +153,7 @@ def test_run_command_cor1_property(tmp_path, fig1_game, fig1_equilibria):
     rows = [l.split(",") for l in lines[2:]]
     agent0 = [r for r in rows if r[1] == "0"]
     assert len({r[2] for r in agent0}) == 1
+    assert_manifest_lists_every_file(out)
 
 
 def test_classify_command(tmp_path, fig1_files, capsys):
@@ -101,6 +166,7 @@ def test_classify_command(tmp_path, fig1_files, capsys):
     assert doc["verdict"] == "converged"
     assert "fixed_point" in doc
     assert capsys.readouterr().out.count("resolved_config") == 1
+    assert_manifest_lists_every_file(out)
 
 
 def test_equilibria_command_three_rows(tmp_path, fig1_files):
@@ -111,6 +177,7 @@ def test_equilibria_command_three_rows(tmp_path, fig1_files):
     lines = [l for l in (out / "equilibria.csv").read_text().splitlines()
              if l and not l.startswith("#")]
     assert len(lines) == 4      # header + 3 equilibria
+    assert_manifest_lists_every_file(out)
 
 
 def test_basin_command_small_grid(tmp_path, fig1_files):
@@ -123,6 +190,7 @@ def test_basin_command_small_grid(tmp_path, fig1_files):
              if l and not l.startswith("#")]
     assert len(lines) == 1 + 36
     assert all("converged" in l for l in lines[1:])
+    assert_manifest_lists_every_file(out)
 
 
 def test_ensemble_command(tmp_path, capsys):
@@ -135,6 +203,7 @@ def test_ensemble_command(tmp_path, capsys):
     lines = (out / "ensemble.csv").read_text().splitlines()
     assert lines[0].startswith("# ")
     assert "seed=3" in lines[0]
+    assert_manifest_lists_every_file(out)
 
 
 def test_census_and_verify_cycle_commands(tmp_path, found_cycle):
@@ -145,6 +214,7 @@ def test_census_and_verify_cycle_commands(tmp_path, found_cycle):
     assert rc == 0
     csv_lines = (out / "census.csv").read_text().splitlines()
     assert len(csv_lines) >= 3
+    assert_manifest_lists_every_file(out)
 
     # verify-cycle on the certificate's phases
     game_path = tmp_path / "game.json"
@@ -158,6 +228,7 @@ def test_census_and_verify_cycle_commands(tmp_path, found_cycle):
     doc = json.loads((out2 / "certificate.json").read_text())
     assert doc["period"] == cert.period
     assert doc["product_spectral_radius"] < 1.0
+    assert_manifest_lists_every_file(out2)
 
     # corrupted phases fail certification with exit 1
     bad = tmp_path / "bad.json"
@@ -167,6 +238,7 @@ def test_census_and_verify_cycle_commands(tmp_path, found_cycle):
     rc = main(["verify-cycle", "--game", str(game_path),
                "--phases", str(bad), "--out", str(tmp_path / "v2")])
     assert rc == 1
+    assert not (tmp_path / "v2").exists()
 
 
 def test_simulate_command_reproducible(tmp_path, fig1_files):
@@ -183,6 +255,7 @@ def test_simulate_command_reproducible(tmp_path, fig1_files):
     names = {p.rsplit("/", 1)[-1] for p in manifest["artifacts"]}
     assert {"trajectory.csv", "gain_series.csv",
             "value_distance_series.csv", "closed_loop_spectra.csv"} <= names
+    assert_manifest_lists_every_file(out_a)
 
 
 def test_simulate_horizon_beyond_full_storage_is_usage_error(
@@ -237,6 +310,7 @@ def test_bad_terminal_is_usage_error(tmp_path, fig1_files, capsys, command,
     assert rc == 2
     err = capsys.readouterr().err
     assert "invalid terminal cost" in err and "P[0]" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_unreadable_terminal_is_usage_error(tmp_path, fig1_files):
@@ -246,6 +320,7 @@ def test_unreadable_terminal_is_usage_error(tmp_path, fig1_files):
     rc = main(["classify", "--game", str(game_path), "--terminal",
                str(term_path), "--out", str(tmp_path / "o")])
     assert rc == 2
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("args", [
@@ -266,6 +341,7 @@ def test_malformed_numbers_are_usage_errors(tmp_path, fig1_files, capsys,
               + ["--out", str(tmp_path / "o")])
     assert rc == 2
     assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("text", ["-5:1", "5:1", "30", "0.3:inf"])
@@ -276,6 +352,7 @@ def test_basin_range_must_be_positive_interval(tmp_path, fig1_files, capsys,
                f"--range={text}", "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "--range" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def _game_command(command, game_path, term_path, phases_path):
@@ -303,6 +380,7 @@ def test_invalid_game_is_usage_error(tmp_path, fig1_files, capsys, command):
     assert rc == 2
     err = capsys.readouterr().err
     assert "invalid game" in err and "R[0]" in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["validate"] + GAME_COMMANDS)
@@ -315,6 +393,7 @@ def test_unreadable_game_is_usage_error(tmp_path, fig1_files, capsys,
               + ["--out", str(tmp_path / "o")])
     assert rc == 2
     assert "unreadable" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("text, needle", [
@@ -334,3 +413,4 @@ def test_malformed_phases_are_usage_errors(tmp_path, fig1_files, capsys,
     assert rc == 2
     err = capsys.readouterr().err
     assert "usage error" in err and needle in err
+    assert not (tmp_path / "o").exists()

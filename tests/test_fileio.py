@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import lqgames as lq
 from lqgames import fileio
-from lqgames.experiments import _rng_for, random_game
+from lqgames.experiments import VERDICTS, _rng_for, random_game
 from lqgames.riccati import FULL_STORAGE_LIMIT
 from test_contracts import games, mixed_games
 
@@ -45,6 +45,22 @@ def test_game_file_missing_key(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 1, "A": [[1.0]]}))
     with pytest.raises(ValueError, match="missing keys"):
+        fileio.read_game(path)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n", 3, "n 3, but its matrices give 1"),
+    ("num_agents", 5, "num_agents 5, but its matrices give 2"),
+    ("input_dims", [7], r"input_dims \[7\], but its matrices give \[1, 1\]"),
+], ids=["n", "num_agents", "input_dims"])
+def test_game_file_keys_must_match_matrices(tmp_path, fig1_game, key, value,
+                                            message):
+    path = tmp_path / "game.json"
+    fileio.write_game(fig1_game, path)
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
         fileio.read_game(path)
 
 
@@ -295,6 +311,111 @@ def test_certificate_round_trip_phases(tmp_path, found_cycle):
     assert len(phases) == cert.period
     again = lq.verify_cycle(phases, game)
     assert again.period == cert.period
+
+
+def _oracle_csv(path, provenance, header, rows):
+    with open(path, "w", newline="") as fh:
+        if provenance:
+            fh.write(fileio.provenance_line(**provenance) + "\n")
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow(row)
+
+
+# The small-table writers as csv.writer wrote them: the references the
+# row writer must match byte for byte.
+def _oracle_phase_spectra_csv(cert, path, provenance=None):
+    _oracle_csv(path, provenance, ["phase", "closed_loop_spectral_radius"],
+                [[l, repr(float(rho))]
+                 for l, rho in enumerate(cert.phase_spectral_radii)])
+
+
+def _oracle_equilibria_csv(eqs, path, provenance=None):
+    rows = []
+    for idx, pt in enumerate(eqs.points):
+        p_flat = ";".join(repr(float(v)) for m in pt.p
+                          for v in np.asarray(m).ravel())
+        k_flat = ";".join(repr(float(v)) for m in pt.gains
+                          for v in np.asarray(m).ravel())
+        rows.append([idx, p_flat, k_flat,
+                     repr(pt.verification.closed_loop_spectral_radius),
+                     repr(pt.verification.fixed_point_residual)])
+    _oracle_csv(path, provenance,
+                ["index", "p_entries", "k_entries",
+                 "closed_loop_spectral_radius", "fixed_point_residual"], rows)
+
+
+def _oracle_basin_csv(basin, path, provenance=None):
+    _oracle_csv(path, provenance,
+                ["qt1", "qt2", "verdict", "label", "steps_to_converge",
+                 "distance"],
+                [[repr(c.qt1), repr(c.qt2), c.verdict,
+                  "" if c.label is None else c.label,
+                  "" if c.steps_to_converge is None else c.steps_to_converge,
+                  "" if c.distance is None else repr(c.distance)]
+                 for c in basin.cells])
+
+
+def _oracle_ensemble_csv(report, path, provenance=None):
+    rows = []
+    for (n, m, N), stats in sorted(report.cells.items()):
+        fr = stats.fractions(report.trials_per_cell)
+        rows.append([n, m, N, report.trials_per_cell]
+                    + [stats.counts.get(v, 0) for v in VERDICTS]
+                    + [repr(fr[v]) for v in VERDICTS]
+                    + [stats.generation_failures])
+    _oracle_csv(path, provenance,
+                ["n", "m", "N", "trials"] + list(VERDICTS)
+                + [f"frac_{v}" for v in VERDICTS] + ["generation_failures"],
+                rows)
+
+
+def _oracle_census_csv(census, path, provenance=None):
+    _oracle_csv(path, provenance,
+                ["n", "m", "N", "period", "count", "games_examined",
+                 "complete"],
+                [[n, m, N, period, cc.histogram[period], cc.games_examined,
+                  cc.complete]
+                 for (n, m, N), cc in sorted(census.cells.items())
+                 for period in sorted(cc.histogram)])
+
+
+def _assert_table_bytes(write, oracle, obj, tmp_path, provenance=None):
+    write(obj, tmp_path / "table.csv", provenance)
+    oracle(obj, tmp_path / "oracle.csv", provenance)
+    assert (tmp_path / "table.csv").read_bytes() \
+        == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_small_tables_match_csv_writer_oracles(tmp_path, fig1_game,
+                                               fig1_equilibria, found_cycle):
+    opts = lq.ClassifyOptions(horizon=2000)
+    basin = lq.run_basin_grid(fig1_game, axis_samples=6, opts=opts)
+    ensemble = lq.run_ensemble([(1, 1, 2), (2, 1, 2)], 10, 3, opts)
+    complete = lq.cycle_census([(2, 2, 2)], target=1, master_seed=0)
+    with pytest.raises(lq.CensusIncomplete) as err:
+        lq.cycle_census([(2, 2, 2)], target=2, master_seed=0, cap=30)
+    incomplete = err.value.census
+    assert complete.cells[(2, 2, 2)].histogram \
+        and incomplete.cells[(2, 2, 2)].histogram
+    assert not incomplete.cells[(2, 2, 2)].complete
+    prov = {"command": "test", "seed": 0}
+    for k, (write, oracle, obj) in enumerate([
+            (fileio.write_phase_spectra_csv, _oracle_phase_spectra_csv,
+             found_cycle[2]),
+            (fileio.write_equilibria_csv, _oracle_equilibria_csv,
+             fig1_equilibria),
+            (fileio.write_basin_csv, _oracle_basin_csv, basin),
+            (fileio.write_equilibria_csv, _oracle_equilibria_csv,
+             basin.equilibria),
+            (fileio.write_ensemble_csv, _oracle_ensemble_csv, ensemble),
+            (fileio.write_census_csv, _oracle_census_csv, complete),
+            (fileio.write_census_csv, _oracle_census_csv, incomplete)]):
+        for p in (None, prov):
+            out = tmp_path / f"{k}-{p is None}"
+            out.mkdir()
+            _assert_table_bytes(write, oracle, obj, out, p)
 
 
 def test_equilibria_csv(tmp_path, fig1_equilibria):

@@ -371,10 +371,11 @@ def test_periodic_best_response_reproduces_certified_cycle(found_cycle):
             assert rel < 1e-10
 
 
-def test_periodic_best_response_budget_names_agent(found_cycle):
+def test_periodic_best_response_budget_names_agent(found_cycle, monkeypatch):
     game, _, cert = found_cycle
+    monkeypatch.setattr(lq.riccati, "BEST_RESPONSE_MAX_STEPS", 2)
     with pytest.raises(lq.NoConvergence, match="agent 1"):
-        lq.periodic_best_response(game, 1, cert.gains, max_steps=2)
+        lq.periodic_best_response(game, 1, cert.gains)
 
 
 def test_single_agent_recursion_matches_dare_oracle():
