@@ -31,23 +31,31 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import GainTuple, GameSpec, PTuple, validate_terminal
-from .riccati import (ConvergenceStop, NoConvergence, RecursionTrace,
-                      SingularStageSystem, best_response_dare, closed_loop,
-                      periodic_best_response, riccati_step, run_recursion)
+from .riccati import (CONV_TOL, CONV_WINDOW, ConvergenceStop, NoConvergence,
+                      RecursionTrace, SingularStageSystem, best_response_dare,
+                      closed_loop, periodic_best_response, riccati_step,
+                      run_recursion)
 
 VERDICT_CONVERGED = "converged"
 VERDICT_CYCLE = "cycle"
 VERDICT_BOUNDED = "bounded_nonconvergent"
 VERDICT_DIVERGED = "diverged"
 VERDICT_SINGULAR = "singular"
+VERDICTS = (VERDICT_CONVERGED, VERDICT_CYCLE, VERDICT_BOUNDED,
+            VERDICT_DIVERGED, VERDICT_SINGULAR)
 
-# Cycle detection needs CYCLE_WINDOW * L consecutive matched steps.
+# Cycle detection: the smallest period L <= MAX_PERIOD whose last
+# CYCLE_WINDOW * L steps match at relative tolerance CYCLE_TOL.
+CYCLE_TOL = 1e-8
 CYCLE_WINDOW = 3
+MAX_PERIOD = 100
 # Certificate tolerances: orbit residual, loop identity, periodic best
 # responses (all relative).
 CERT_TOL = 1e-8
 LOOP_TOL = 1e-6
 BR_TOL = 1e-6
+# Stationary Nash check: fixed-point residual and best-response gain gaps.
+NASH_TOL = 1e-8
 
 
 class CertificationFailed(RuntimeError):
@@ -102,13 +110,9 @@ class Classification:
 
 @dataclass
 class ClassifyOptions:
-    """Detection horizons and tolerances; defaults are desk scale."""
+    """Recursion horizon; the default is desk scale."""
 
     horizon: int = 10_000
-    conv_tol: float = 1e-9
-    conv_window: int = 10
-    cycle_tol: float = 1e-8
-    max_period: int = 100
 
 
 @dataclass
@@ -123,7 +127,6 @@ class NashVerification:
     closed_loop_spectral_radius: float
     gains: GainTuple
     best_response_gaps: list[float] = field(default_factory=list)
-    tol: float = 1e-8
 
 
 def spectral_radius(M: np.ndarray) -> float:
@@ -137,22 +140,23 @@ def fixed_point_residual(p: PTuple, game: GameSpec) -> float:
     return p.distance(image)
 
 
-def detect_convergence(trace: RecursionTrace, tol: float = 1e-9,
-                       window: int = 10) -> tuple[PTuple, int] | None:
+def detect_convergence(trace: RecursionTrace,
+                       tol: float = CONV_TOL) -> tuple[PTuple, int] | None:
     """Earliest settled point of a trace, or None.
 
-    Finds the first index s* whose following `window` consecutive relative
-    step changes (max over agents of ||P_{s+1}^i - P_s^i||_F scaled by
-    1 + ||P_s^i||_F) all fall below tol, and returns the state closing
-    that window together with s*. Step counts are absolute even when the
-    trace retains only a trailing window. The rule is ConvergenceStop's,
-    so a recursion that stopped on it settled `window` steps before its end.
+    Finds the first index s* whose following CONV_WINDOW consecutive
+    relative step changes (max over agents of ||P_{s+1}^i - P_s^i||_F
+    scaled by 1 + ||P_s^i||_F) all fall below tol, and returns the state
+    closing that window together with s*. Step counts are absolute even
+    when the trace retains only a trailing window. The rule is
+    ConvergenceStop's, so a recursion that stopped on it settled
+    CONV_WINDOW steps before its end.
     """
     states = trace.p_states
-    rule = ConvergenceStop(tol=tol, window=window)
+    rule = ConvergenceStop(tol=tol)
     for s in range(len(states) - 1):
-        if rule(s + 1, states[s].distance(states[s + 1]), states[s + 1]):
-            return states[s + 1], trace.first_step + s + 1 - window
+        if rule(s + 1, states[s].distance(states[s + 1])):
+            return states[s + 1], trace.first_step + s + 1 - CONV_WINDOW
     return None
 
 
@@ -178,19 +182,18 @@ def _minimal_period(states, tol: float, max_period: int, window: int) -> int | N
     return None
 
 
-def detect_cycle(trace: RecursionTrace, game: GameSpec, tol: float = 1e-8,
-                 max_period: int = 100) -> CycleCertificate | None:
+def detect_cycle(trace: RecursionTrace, game: GameSpec) -> CycleCertificate | None:
     """Detect and certify a periodic orbit at the tail of a trace.
 
-    Scans periods L = 1..max_period for the smallest one where the last
-    CYCLE_WINDOW * L steps repeat at relative tolerance tol. A period-1
-    match is convergence, not a cycle, and yields None. For L >= 2 the trailing
-    phases are re-verified through verify_cycle (re-running the map around
-    the loop, period-product spectral radius, loop identity, periodic best
-    responses); detection without a passing certificate also yields None.
+    Scans periods L = 1..MAX_PERIOD for the smallest one where the last
+    CYCLE_WINDOW * L steps repeat at relative tolerance CYCLE_TOL. A
+    period-1 match is convergence, not a cycle, and yields None. For L >= 2
+    the trailing phases are re-verified through verify_cycle (re-running
+    the map around the loop, period-product spectral radius, loop identity,
+    periodic best responses); a failed certificate also yields None.
     """
     states = trace.p_states
-    L = _minimal_period(states, tol, max_period, CYCLE_WINDOW)
+    L = _minimal_period(states, CYCLE_TOL, MAX_PERIOD, CYCLE_WINDOW)
     if L is None or L == 1:
         return None
     S = len(states) - 1
@@ -202,16 +205,15 @@ def detect_cycle(trace: RecursionTrace, game: GameSpec, tol: float = 1e-8,
         return None
 
 
-def verify_cycle(phases, game: GameSpec,
-                 tol: float = CERT_TOL) -> CycleCertificate:
+def verify_cycle(phases, game: GameSpec) -> CycleCertificate:
     """Certify a phase sequence as a periodic equilibrium.
 
     phases must be in loop order: phase l is the image of phase l+1 under
     the backward map (cyclically). Non-minimal periods are accepted - a
     fixed point replicated L times certifies for every L. Checks, in
     order: (a) orbit residual of each phase against the map image of its
-    successor; (b) spectral radius of the period product below one;
-    (c) loop identity residual for every agent (below LOOP_TOL); (d)
+    successor (below CERT_TOL); (b) period-product spectral radius below
+    one; (c) loop identity residual for every agent (below LOOP_TOL); (d)
     periodic best-response residual for every agent (below BR_TOL). Raises
     CertificationFailed listing every check that exceeded its tolerance.
     """
@@ -270,8 +272,8 @@ def verify_cycle(phases, game: GameSpec,
                       / (1.0 + np.linalg.norm(phases[l][i]))))
 
     failures = []
-    if not residual < tol:
-        failures.append(f"orbit residual {residual:.3e} >= {tol:.1e}")
+    if not residual < CERT_TOL:
+        failures.append(f"orbit residual {residual:.3e} >= {CERT_TOL:.1e}")
     if not rho_product < 1.0:
         failures.append(f"period product spectral radius {rho_product:.6f} >= 1")
     if not loop_residual < LOOP_TOL:
@@ -305,7 +307,7 @@ def classify(game: GameSpec, terminal: PTuple,
     before cycles (a settled trace is never reported as a period-1 cycle);
     anything bounded that the cycle detector does not claim is
     bounded_nonconvergent, with the sup norm over the whole orbit.
-    Deterministic for fixed inputs and options. Raises ValueError, listing
+    Deterministic for fixed inputs and horizon. Raises ValueError, listing
     the failures, for a terminal that validate_terminal rejects.
     """
     report = validate_terminal(game, terminal)
@@ -313,8 +315,7 @@ def classify(game: GameSpec, terminal: PTuple,
         raise ValueError(f"invalid terminal cost: {report.failure_text()}")
     if opts is None:
         opts = ClassifyOptions()
-    stop = ConvergenceStop(tol=opts.conv_tol, window=opts.conv_window)
-    trace = run_recursion(game, terminal, opts.horizon, stop=stop)
+    trace = run_recursion(game, terminal, opts.horizon, stop=ConvergenceStop())
     term = trace.terminated
 
     if term.reason == "singular":
@@ -326,10 +327,9 @@ def classify(game: GameSpec, terminal: PTuple,
     if term.reason == "converged":
         return Classification(VERDICT_CONVERGED,
                               fixed_point=trace.final_state(),
-                              steps_to_converge=term.steps - opts.conv_window)
+                              steps_to_converge=term.steps - CONV_WINDOW)
 
-    cert = detect_cycle(trace, game, tol=opts.cycle_tol,
-                        max_period=opts.max_period)
+    cert = detect_cycle(trace, game)
     if cert is not None:
         return Classification(VERDICT_CYCLE, certificate=cert)
 
@@ -337,28 +337,28 @@ def classify(game: GameSpec, terminal: PTuple,
                           steps_observed=term.steps)
 
 
-def nash_verify_stationary(p: PTuple, game: GameSpec,
-                           tol: float = 1e-8) -> NashVerification:
+def nash_verify_stationary(p: PTuple, game: GameSpec) -> NashVerification:
     """Verify a fixed point as a stationary Nash equilibrium.
 
-    Requires the fixed-point residual below tol (violations are reported,
-    not raised), a strictly stable joint closed loop, and every agent's
-    independent best-response gain within tol of its stage gain.
+    Requires the fixed-point residual below NASH_TOL (violations are
+    reported, not raised), a strictly stable joint closed loop, and every
+    agent's independent best-response gain within NASH_TOL of its stage
+    gain.
     """
     image, gains = riccati_step(p, game)
     residual = p.distance(image)
-    if not residual < tol:
+    if not residual < NASH_TOL:
         return NashVerification(
             ok=False, precondition_ok=False, fixed_point_residual=residual,
-            closed_loop_spectral_radius=float("nan"), gains=gains, tol=tol)
+            closed_loop_spectral_radius=float("nan"), gains=gains)
 
     rho = spectral_radius(closed_loop(game, gains))
     gaps = []
     for i in range(game.num_agents):
         _, Ki = best_response_dare(game, i, gains)
         gaps.append(float(np.linalg.norm(Ki - gains[i])))
-    ok = rho < 1.0 and all(g < tol for g in gaps)
+    ok = rho < 1.0 and all(g < NASH_TOL for g in gaps)
     return NashVerification(
         ok=ok, precondition_ok=True, fixed_point_residual=residual,
         closed_loop_spectral_radius=rho, gains=gains,
-        best_response_gaps=gaps, tol=tol)
+        best_response_gaps=gaps)

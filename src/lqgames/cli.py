@@ -7,12 +7,14 @@ resolved configuration and lists every artifact. The directory is made
 with the first artifact, so a run that fails before writing one (every
 usage error among them) leaves no directory. Option values resolve as:
 command-line flag over config-file entry over built-in default; unknown
-config keys, booleans, and non-integral numbers for integer options are
-rejected by name. Exit codes: 0 success, 1 domain failure, 2 usage
-error. A game, terminal or phases file that is missing, unreadable or
-fails validation is a usage error, except that validate reports a
-failing game with exit 1. Phases are checked for count, shape and
-finiteness; certification judges the rest.
+config keys, booleans, non-integral numbers for integer options, and a
+--conv-tol that is not finite and at least 0 are rejected by name. The
+tolerances that decide a verdict are library constants, not options.
+Exit codes: 0 success, 1 domain failure, 2 usage error. A game, terminal
+or phases file that is missing, unreadable or fails validation is a
+usage error, except that validate reports a failing game with exit 1.
+Phases are checked for count, shape and finiteness; certification
+judges the rest.
 """
 
 import argparse
@@ -36,8 +38,7 @@ from .riccati import FULL_STORAGE_LIMIT, ConvergenceStop, run_recursion
 from .simulate import simulate
 
 # Integer options that count steps or items and must be at least 1.
-_POSITIVE = ("horizon", "conv-window", "max-period", "grid", "trials",
-             "target", "cap", "restarts")
+_POSITIVE = ("horizon", "grid", "trials", "target", "cap", "restarts")
 
 # name -> (type, default, help). None defaults mean "required".
 _COMMON = {
@@ -54,16 +55,11 @@ _OPTIONS = {
         "terminal": (str, None, "terminal value tuple file (JSON)"),
         "horizon": (int, 1000, "backward steps to take"),
         "conv-tol": (float, 1e-9, "early-stop tolerance (0 disables)"),
-        "conv-window": (int, 10, "consecutive small steps before stopping"),
     },
     "classify": {
         "game": (str, None, "game file (JSON)"),
         "terminal": (str, None, "terminal value tuple file (JSON)"),
         "horizon": (int, 10_000, "recursion horizon"),
-        "conv-tol": (float, 1e-9, "convergence tolerance"),
-        "conv-window": (int, 10, "convergence window"),
-        "cycle-tol": (float, 1e-8, "cycle phase-match tolerance"),
-        "max-period": (int, 100, "largest period searched"),
     },
     "basin": {
         "game": (str, None, "scalar two-agent game file"),
@@ -93,7 +89,6 @@ _OPTIONS = {
     "verify-cycle": {
         "game": (str, None, "game file (JSON)"),
         "phases": (str, None, "JSON file with a 'phases' list"),
-        "tol": (float, 1e-8, "orbit residual tolerance"),
     },
     "simulate": {
         "game": (str, None, "game file (JSON)"),
@@ -171,6 +166,9 @@ def parse_config(argv) -> RunConfig:
     for name in _POSITIVE:
         if name in params and params[name] < 1:
             raise UsageError(f"--{name} must be at least 1, got {params[name]}")
+    if "conv-tol" in params and not 0 <= params["conv-tol"] < math.inf:
+        raise UsageError("--conv-tol must be finite and at least 0, "
+                         f"got {params['conv-tol']}")
     if command == "simulate" and params["horizon"] > FULL_STORAGE_LIMIT:
         raise UsageError(f"--horizon must be at most {FULL_STORAGE_LIMIT} "
                          "for simulate, which needs every stage's gains")
@@ -289,7 +287,7 @@ def dispatch(config: RunConfig) -> int:
         terminal = _load_terminal(config, game)
         stop = None
         if p["conv-tol"] > 0:
-            stop = ConvergenceStop(tol=p["conv-tol"], window=p["conv-window"])
+            stop = ConvergenceStop(tol=p["conv-tol"])
         trace = run_recursion(game, terminal, p["horizon"], stop=stop)
         prov = {"command": "run", "horizon": p["horizon"],
                 "conv_tol": p["conv-tol"]}
@@ -303,11 +301,8 @@ def dispatch(config: RunConfig) -> int:
     elif config.command == "classify":
         game = _load_game(config)
         terminal = _load_terminal(config, game)
-        opts = ClassifyOptions(horizon=p["horizon"], conv_tol=p["conv-tol"],
-                               conv_window=p["conv-window"],
-                               cycle_tol=p["cycle-tol"],
-                               max_period=p["max-period"])
-        verdict = classify(game, terminal, opts)
+        verdict = classify(game, terminal,
+                           ClassifyOptions(horizon=p["horizon"]))
         save("classification.json", fileio._write_json,
              fileio.classification_dict(verdict), {"provenance": resolved})
         if verdict.certificate is not None:
@@ -388,7 +383,7 @@ def dispatch(config: RunConfig) -> int:
         game = _load_game(config)
         phases = _load_phases(config, game)
         try:
-            cert = verify_cycle(phases, game, tol=p["tol"])
+            cert = verify_cycle(phases, game)
         except CertificationFailed as err:
             print(f"certification failed: {err}", file=sys.stderr)
             return 1

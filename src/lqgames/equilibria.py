@@ -29,8 +29,6 @@ from .riccati import (NoConvergence, NotStabilizable, SingularStageSystem,
 
 # Points closer than this (relative) are considered the same equilibrium.
 DEDUP_TOL = 1e-6
-# A found point passes when the stationary Nash verification holds to this.
-VERIFY_TOL = 1e-8
 # Points per axis of the scalar enumeration's logarithmic grid, and the
 # batches it is evaluated in, which bound its memory.
 GRID_POINTS = 200
@@ -219,7 +217,7 @@ def scalar_two_agent_equilibria(game: GameSpec, p_min: float = 1e-4,
     for root in roots:
         p = PTuple([root[0], root[1]])
         try:
-            report = nash_verify_stationary(p, game, tol=VERIFY_TOL)
+            report = nash_verify_stationary(p, game)
         except SingularStageSystem:
             failed += 1
             continue
@@ -312,7 +310,7 @@ def residual_descent_search(game: GameSpec, inits=None, restarts: int = 20,
             continue
         seen.append(p)
         try:
-            report = nash_verify_stationary(p, game, tol=VERIFY_TOL)
+            report = nash_verify_stationary(p, game)
         except (SingularStageSystem, NotStabilizable, NoConvergence):
             continue
         if report.ok:

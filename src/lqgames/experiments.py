@@ -16,14 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import (ClassifyOptions, VERDICT_BOUNDED, VERDICT_CONVERGED,
-                       VERDICT_CYCLE, VERDICT_DIVERGED, VERDICT_SINGULAR,
-                       classify)
+from .analysis import (ClassifyOptions, VERDICT_CONVERGED, VERDICT_CYCLE,
+                       VERDICTS, classify)
 from .equilibria import EquilibriumSet, _newton, scalar_two_agent_equilibria
 from .model import GameSpec, PTuple, validate_game
-
-VERDICTS = (VERDICT_CONVERGED, VERDICT_CYCLE, VERDICT_BOUNDED,
-            VERDICT_DIVERGED, VERDICT_SINGULAR)
 
 # Basin cells whose fixed point sits farther than this (relative) from
 # every known equilibrium land in the unmatched bucket.

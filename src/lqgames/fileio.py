@@ -14,9 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import Classification, CycleCertificate
+from .analysis import VERDICTS, Classification, CycleCertificate
 from .equilibria import EquilibriumSet
-from .experiments import BasinMap, CycleCensus, EnsembleReport, VERDICTS
+from .experiments import BasinMap, CycleCensus, EnsembleReport
 from .model import GameSpec, PTuple, stack_norms
 from .riccati import RecursionTrace, TerminationRecord
 

@@ -31,7 +31,7 @@ SINGULARITY_RCOND = 1e-12
 DIVERGENCE_THRESHOLD = 1e12
 # Traces longer than this keep only a trailing ring buffer of states.
 FULL_STORAGE_LIMIT = 10_000
-# Ring size: enough for cycle detection up to the default max period.
+# Ring size: enough for cycle detection up to analysis.MAX_PERIOD.
 RING_BUFFER_SIZE = 512
 # Best-response iteration: relative settling tolerance and step budget.
 BEST_RESPONSE_TOL = 1e-12
@@ -282,26 +282,28 @@ def _stage_map_batch(game: GameSpec, P: np.ndarray):
     return _stage_map(game._stage or _cache_stage(game), P)
 
 
+# Convergence: CONV_WINDOW consecutive relative step changes below CONV_TOL.
+CONV_TOL = 1e-9
+CONV_WINDOW = 10
+
+
 class ConvergenceStop:
-    """Stop rule firing after `window` consecutive relative step changes
+    """Stop rule firing after CONV_WINDOW consecutive relative step changes
     below `tol`. The run count restarts at step 1, so one instance can be
     reused across recursions."""
 
-    def __init__(self, tol: float = 1e-9, window: int = 10):
-        if window < 1:
-            raise ValueError(f"convergence window must be >= 1, got {window}")
+    def __init__(self, tol: float = CONV_TOL):
         self.tol = tol
-        self.window = window
         self._run = 0
 
-    def __call__(self, step: int, rel_change: float, p_new: PTuple) -> bool:
+    def __call__(self, step: int, rel_change: float) -> bool:
         if step == 1:
             self._run = 0
         if rel_change < self.tol:
             self._run += 1
         else:
             self._run = 0
-        return self._run >= self.window
+        return self._run >= CONV_WINDOW
 
 
 def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
@@ -351,7 +353,7 @@ def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
         if top > DIVERGENCE_THRESHOLD:
             reason = "diverged"
             break
-        if stop is not None and stop(steps, rel, p_new):
+        if stop is not None and stop(steps, rel):
             reason = "converged"
             break
 

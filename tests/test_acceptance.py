@@ -51,7 +51,7 @@ def test_criterion_1_three_equilibria(bench_game, bench_equilibria):
     assert elapsed < 10.0, f"enumeration took {elapsed:.1f}s"
     assert len(bench_equilibria) == 3
     for pt in bench_equilibria:
-        report = lq.nash_verify_stationary(pt.p, bench_game, tol=1e-8)
+        report = lq.nash_verify_stationary(pt.p, bench_game)
         assert report.ok
     _report("1", f"(3 equilibria, {elapsed:.2f}s)")
 

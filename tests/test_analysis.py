@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import lqgames as lq
-from lqgames.analysis import _minimal_period
-from lqgames.riccati import RecursionTrace, TerminationRecord
+from lqgames.analysis import CYCLE_WINDOW, MAX_PERIOD, _minimal_period
+from lqgames.riccati import (FULL_STORAGE_LIMIT, RING_BUFFER_SIZE,
+                             RecursionTrace, TerminationRecord)
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -53,8 +54,10 @@ def test_fixed_point_residual_fig1_hand_value(fig1_game):
 
 def test_fix_points_are_nash(fig1_equilibria, fig1_game):
     for pt in fig1_equilibria:
-        report = lq.nash_verify_stationary(pt.p, fig1_game, tol=1e-9)
+        report = lq.nash_verify_stationary(pt.p, fig1_game)
         assert report.ok
+        assert report.fixed_point_residual < 1e-9
+        assert all(gap < 1e-9 for gap in report.best_response_gaps)
         assert report.closed_loop_spectral_radius < 1.0
 
 
@@ -80,7 +83,7 @@ def test_terminal_cost_selection_pins_recursion(fig1_game, fig1_equilibria):
 def test_detect_convergence_constant_trace():
     game = lq.GameSpec(0, [1, 1], [4, 9], [1, 1])
     trace = lq.run_recursion(game, lq.PTuple([1.0, 1.0]), 30)
-    point, steps = lq.detect_convergence(trace, tol=1e-9, window=10)
+    point, steps = lq.detect_convergence(trace)
     assert steps == 1
     assert float(np.asarray(point[0])[0, 0]) == 4.0
     assert float(np.asarray(point[1])[0, 0]) == 9.0
@@ -88,7 +91,7 @@ def test_detect_convergence_constant_trace():
 
 def test_detect_convergence_scalar_lqr(scalar_lqr):
     trace = lq.run_recursion(scalar_lqr, lq.PTuple([1.0]), 300)
-    point, steps = lq.detect_convergence(trace, tol=1e-9, window=10)
+    point, steps = lq.detect_convergence(trace)
     assert float(np.asarray(point[0])[0, 0]) == pytest.approx(GOLDEN, abs=1e-8)
     assert steps > 0
 
@@ -97,7 +100,7 @@ def test_detect_convergence_alternating_trace_returns_none():
     x = lq.PTuple([1.0])
     y = lq.PTuple([2.0])
     trace = synthetic_trace([x, y] * 30)
-    assert lq.detect_convergence(trace, tol=1e-9, window=10) is None
+    assert lq.detect_convergence(trace) is None
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +154,17 @@ def test_detect_cycle_on_found_game(found_cycle):
 def test_classify_cycle_verdict(found_cycle):
     game, terminal, cert = found_cycle
     verdict = lq.classify(game, terminal)
+    assert verdict.verdict == "cycle"
+    assert verdict.certificate.period == cert.period
+
+
+def test_classify_cycle_verdict_from_ring_buffer(found_cycle):
+    # beyond FULL_STORAGE_LIMIT the trace keeps RING_BUFFER_SIZE + 1
+    # states, and _minimal_period needs (CYCLE_WINDOW + 1) * L of them
+    assert (CYCLE_WINDOW + 1) * MAX_PERIOD <= RING_BUFFER_SIZE + 1
+    game, terminal, cert = found_cycle
+    opts = lq.ClassifyOptions(horizon=FULL_STORAGE_LIMIT + 300)
+    verdict = lq.classify(game, terminal, opts)
     assert verdict.verdict == "cycle"
     assert verdict.certificate.period == cert.period
 

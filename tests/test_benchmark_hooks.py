@@ -69,7 +69,7 @@ def test_recursion_steps_through_riccati_step(monkeypatch, fig1_game):
     assert len(calls) == trace.steps
     calls.clear()
     opts = ClassifyOptions()
-    stop = riccati.ConvergenceStop(opts.conv_tol, opts.conv_window)
+    stop = riccati.ConvergenceStop()
     trace = riccati.run_recursion(fig1_game, terminal, opts.horizon, stop)
     calls.clear()
     assert analysis.classify(fig1_game, terminal, opts).verdict == "converged"

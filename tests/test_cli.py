@@ -46,10 +46,9 @@ def test_parse_config_unknown_key_named(tmp_path):
 @pytest.mark.parametrize("entries, name", [
     ({"horizon": 2.9}, "horizon"),
     ({"horizon": True}, "horizon"),
-    ({"conv-window": True}, "conv-window"),
     ({"conv-tol": False}, "conv-tol"),
     ({"horizon": "x"}, "horizon"),
-], ids=["fraction", "bool-int", "bool-window", "bool-float", "text"])
+], ids=["fraction", "bool-int", "bool-float", "text"])
 def test_config_entries_of_wrong_type_are_usage_errors(
         tmp_path, fig1_files, capsys, entries, name):
     game_path, term_path = fig1_files
@@ -65,13 +64,61 @@ def test_config_entries_of_wrong_type_are_usage_errors(
 
 def test_config_numbers_that_fit_their_type_are_accepted(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"horizon": 20.0, "conv-tol": 0,
-                               "conv-window": 3}))
+    cfg.write_text(json.dumps({"horizon": 20.0, "conv-tol": 0}))
     params = parse_config(["run", "--config", str(cfg), "--game", "g",
                            "--terminal", "t"]).params
     assert params["horizon"] == 20 and type(params["horizon"]) is int
     assert params["conv-tol"] == 0.0 and type(params["conv-tol"]) is float
-    assert params["conv-window"] == 3
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-9],
+                         ids=["nan", "inf", "negative"])
+def test_conv_tol_must_be_finite_and_nonnegative(tmp_path, fig1_files, capsys,
+                                                 value, source):
+    game_path, term_path = fig1_files
+    out = tmp_path / "o"
+    argv = ["run", "--game", str(game_path), "--terminal", str(term_path),
+            "--horizon", "50", "--out", str(out)]
+    if source == "flag":
+        argv.append(f"--conv-tol={value!r}")
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"conv-tol": value}))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    assert "conv-tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("classify", ["--cycle-tol", "1e-8"]),
+    ("verify-cycle", ["--tol", "1e-8"]),
+], ids=["classify-cycle-tol", "verify-cycle-tol"])
+def test_removed_tolerance_flags_are_rejected(tmp_path, fig1_files, capsys,
+                                              command, extra):
+    game_path, term_path = fig1_files
+    phases_path = tmp_path / "phases.json"
+    phases_path.write_text(json.dumps({"phases": [[1.0, 1.0], [1.0, 1.0]]}))
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exit_info:
+        main(_game_command(command, game_path, term_path, phases_path)
+             + extra + ["--out", str(out)])
+    assert exit_info.value.code == 2
+    assert extra[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_removed_config_key_is_unknown(tmp_path, fig1_files, capsys):
+    game_path, term_path = fig1_files
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max-period": 50}))
+    out = tmp_path / "o"
+    rc = main(["classify", "--game", str(game_path), "--terminal",
+               str(term_path), "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    assert "unknown config key 'max-period'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_game_file_is_usage_error(tmp_path, capsys):

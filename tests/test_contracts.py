@@ -46,8 +46,7 @@ def test_classify_convergence_matches_detect_convergence(case):
     opts = lq.ClassifyOptions(horizon=300)
     verdict = lq.classify(game, terminal, opts)
     settled = lq.detect_convergence(
-        lq.run_recursion(game, terminal, opts.horizon),
-        tol=opts.conv_tol, window=opts.conv_window)
+        lq.run_recursion(game, terminal, opts.horizon))
     assert (verdict.verdict == "converged") == (settled is not None)
     if settled is not None:
         point, steps = settled

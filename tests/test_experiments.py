@@ -4,6 +4,7 @@ import pytest
 import lqgames as lq
 from lqgames.analysis import ClassifyOptions
 from lqgames.experiments import _rng_for, random_game, random_terminal
+from lqgames.riccati import CONV_WINDOW
 from lqgames.fileio import (certificate_trace, trace_gain_series,
                             trace_value_series)
 
@@ -141,7 +142,7 @@ def test_classify_at_equilibrium_converges_fast(fig1_game, fig1_equilibria):
     for pt in fig1_equilibria:
         verdict = lq.classify(fig1_game, pt.p, opts)
         assert verdict.verdict == "converged"
-        assert verdict.steps_to_converge <= opts.conv_window
+        assert verdict.steps_to_converge <= CONV_WINDOW
 
 
 @pytest.mark.parametrize("q_range", [(-5.0, 1.0), (5.0, 1.0), (1.0, 1.0),

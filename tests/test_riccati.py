@@ -4,6 +4,7 @@ from scipy.linalg import solve_discrete_are
 
 import lqgames as lq
 from lqgames.experiments import _rng_for, random_game
+from lqgames.riccati import CONV_WINDOW
 from conftest import random_pd_tuple
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -256,10 +257,11 @@ def test_forward_gains_order(fig1_game):
 
 
 def test_convergence_stop_requires_consecutive_run():
-    stop = lq.ConvergenceStop(tol=1e-6, window=3)
-    seq = [1e-7, 1e-7, 1e-3, 1e-7, 1e-7, 1e-7]
-    fired = [stop(i + 1, r, None) for i, r in enumerate(seq)]
-    assert fired == [False, False, False, False, False, True]
+    stop = lq.ConvergenceStop(tol=1e-6)
+    W = CONV_WINDOW
+    seq = [1e-7] * (W - 1) + [1e-3] + [1e-7] * W
+    fired = [stop(i + 1, r) for i, r in enumerate(seq)]
+    assert fired == [False] * (2 * W - 1) + [True]
 
 
 def test_convergence_stop_reusable_across_runs(fig1_game):
@@ -273,15 +275,7 @@ def test_convergence_stop_reusable_across_runs(fig1_game):
     fresh = lq.run_recursion(fig1_game, first.final_state(), 1000,
                              stop=lq.ConvergenceStop())
     assert again.terminated.reason == "converged"
-    assert again.steps == fresh.steps == stop.window
-
-
-def test_convergence_stop_rejects_empty_window(fig1_game):
-    with pytest.raises(ValueError, match="window"):
-        lq.ConvergenceStop(window=0)
-    with pytest.raises(ValueError, match="window"):
-        lq.classify(fig1_game, lq.PTuple([1.0, 1.0]),
-                    lq.ClassifyOptions(conv_window=0))
+    assert again.steps == fresh.steps == CONV_WINDOW
 
 
 def test_termination_record_sup_norm_covers_ring_buffer():
