@@ -10,7 +10,8 @@ command-line flag over config-file entry over built-in default; unknown
 config keys, booleans, non-integral numbers for integer options, and a
 --conv-tol that is not finite and at least 0 are rejected by name. The
 tolerances that decide a verdict are library constants, not options.
-Exit codes: 0 success, 1 domain failure, 2 usage error. A game, terminal
+Exit codes: 0 success (and --help), 1 domain failure, 2 usage error;
+main returns the code rather than raising SystemExit. A game, terminal
 or phases file that is missing, unreadable or fails validation is a
 usage error, except that validate reports a failing game with exit 1.
 Phases are checked for count, shape and finiteness; certification
@@ -418,8 +419,9 @@ def dispatch(config: RunConfig) -> int:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        config = parse_config(argv)
-        return dispatch(config)
+        return dispatch(parse_config(argv))
+    except SystemExit as stop:      # argparse printed --help or a usage error
+        return stop.code
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2

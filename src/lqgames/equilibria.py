@@ -20,7 +20,6 @@ discarded (they are not equilibria) but counted in the search metadata.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .analysis import NashVerification, nash_verify_stationary
 from .model import GainTuple, GameSpec, PTuple
@@ -264,11 +263,24 @@ def residual_descent_search(game: GameSpec, inits=None, restarts: int = 20,
     residual to zero.
 
     Runs damped Gauss-Newton (scipy least_squares on the stacked residual
-    vec(P - f(P))) from each supplied initialization plus `restarts`
-    random positive-definite ones. A point is accepted only when the
-    squared residual falls below DESCENT_ACCEPT_TOL and the full stationary
-    Nash verification passes. An empty set is a valid outcome.
+    vec(P - f(P))) from each supplied initialization, the game's Q, and
+    `restarts` random positive-definite ones. A point is accepted only when
+    the squared residual falls below DESCENT_ACCEPT_TOL and the full
+    stationary Nash verification passes. An empty set is a valid outcome.
+
+    scipy.optimize is imported on the first call, so code that never
+    searches by descent does not load it.
+
+    Worst case: each of the len(inits) + 1 + restarts starts may use
+    DESCENT_MAX_NFEV (10 000) residual evaluations, and the
+    finite-difference Jacobian columns of `trf` come on top, since nfev
+    does not count them; each evaluation and each column is one
+    riccati_step. On the (2, 2, 2) game random_game(2, 2, 2,
+    _rng_for(0, 0, 50)) at seed 1, which has no equilibrium, the search
+    makes 77 269 riccati_step calls.
     """
+    from scipy.optimize import least_squares
+
     n, N = game.n, game.num_agents
     rng = np.random.default_rng(seed)
 

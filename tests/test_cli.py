@@ -101,12 +101,25 @@ def test_removed_tolerance_flags_are_rejected(tmp_path, fig1_files, capsys,
     phases_path = tmp_path / "phases.json"
     phases_path.write_text(json.dumps({"phases": [[1.0, 1.0], [1.0, 1.0]]}))
     out = tmp_path / "o"
-    with pytest.raises(SystemExit) as exit_info:
-        main(_game_command(command, game_path, term_path, phases_path)
-             + extra + ["--out", str(out)])
-    assert exit_info.value.code == 2
+    assert main(_game_command(command, game_path, term_path, phases_path)
+                + extra + ["--out", str(out)]) == 2
     assert extra[0] in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    ([], 2, "required: command"),
+    (["run", "--horizon"], 2, "expected one argument"),
+    (["run", "--horizon", "ten"], 2, "invalid int value"),
+    (["--help"], 0, "usage: lqgames"),
+], ids=["no-command", "flag-without-value", "non-integer", "help"])
+def test_argparse_exit_status_is_returned(tmp_path, monkeypatch, capsys,
+                                          argv, code, message):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert message in (captured.err if code else captured.out)
+    assert not any(tmp_path.iterdir())
 
 
 def test_removed_config_key_is_unknown(tmp_path, fig1_files, capsys):
@@ -334,6 +347,31 @@ def test_cli_subprocess_entry(tmp_path, fig1_files):
         [sys.executable, "-m", "lqgames.cli", "validate", "--nonsense", "x"],
         capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+# Runs in a fresh interpreter, so no other test has imported scipy.optimize.
+_LAZY_OPTIMIZE = """
+import sys
+import lqgames as lq, lqgames.cli
+from lqgames.experiments import run_basin_grid, run_ensemble
+
+def optimize_loaded():
+    return sorted(m for m in sys.modules if m.startswith("scipy.optimize"))
+
+fig1 = lq.GameSpec(5, [1, 1], [1, 1], [1, 2])
+assert lq.classify(fig1, lq.PTuple([1.0, 1.0])).verdict == "converged"
+run_basin_grid(fig1, axis_samples=3)
+run_ensemble([(1, 1, 2)], 3, 0)
+assert not optimize_loaded(), optimize_loaded()
+lq.residual_descent_search(fig1, restarts=0)
+assert "scipy.optimize" in optimize_loaded()
+"""
+
+
+def test_scipy_optimize_loads_only_for_descent():
+    proc = subprocess.run([sys.executable, "-c", _LAZY_OPTIMIZE],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_output_dir_not_clobbered(tmp_path, fig1_files):
