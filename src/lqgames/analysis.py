@@ -30,11 +30,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import GainTuple, GameSpec, PTuple, validate_terminal
+from .model import (GainTuple, GameSpec, PTuple, stack_distances,
+                    validate_terminal)
 from .riccati import (CONV_TOL, CONV_WINDOW, ConvergenceStop, NoConvergence,
-                      RecursionTrace, SingularStageSystem, best_response_dare,
-                      closed_loop, periodic_best_response, riccati_step,
-                      run_recursion)
+                      RecursionTrace, SingularStageSystem, _one_blas_thread,
+                      best_response_dare, closed_loop, periodic_best_response,
+                      riccati_step, run_recursion)
 
 VERDICT_CONVERGED = "converged"
 VERDICT_CYCLE = "cycle"
@@ -164,20 +165,20 @@ def _minimal_period(states, tol: float, max_period: int, window: int) -> int | N
     """Smallest L in [1, max_period] matching the trailing orbit.
 
     Requires window * L consecutive matches between states s and s + L at
-    relative tolerance tol. Scanning in ascending L makes the result
-    minimal (no divisor of the returned period also matches).
+    relative tolerance tol, within the trace. A first pass compares the
+    last state S with state S - L for every L at once; only the L it
+    passes are scanned pair by pair, in ascending order, which makes the
+    result minimal (no divisor of the returned period also matches).
     """
     S = len(states) - 1
-    for L in range(1, max_period + 1):
-        need = window * L
-        if need + L > S + 1:
-            return None
-        ok = True
-        for s in range(S - L, S - L - need, -1):
-            if states[s].distance(states[s + L]) >= tol:
-                ok = False
-                break
-        if ok:
+    top = min(max_period, (S + 1) // (window + 1))
+    if top < 1:
+        return None
+    earlier = np.stack([states[S - L].stack for L in range(1, top + 1)])
+    first = stack_distances(earlier, states[S].stack).max(axis=-1)
+    for L in (np.flatnonzero(first < tol) + 1).tolist():
+        if all(states[s].distance(states[s + L]) < tol
+               for s in range(S - L - 1, S - L - window * L, -1)):
             return L
     return None
 
@@ -297,6 +298,7 @@ def verify_cycle(phases, game: GameSpec) -> CycleCertificate:
     )
 
 
+@_one_blas_thread()
 def classify(game: GameSpec, terminal: PTuple,
              opts: ClassifyOptions | None = None) -> Classification:
     """Run the recursion and name its asymptotic regime.

@@ -35,7 +35,8 @@ from .equilibria import (NoEquilibriumFound, residual_descent_search,
 from .experiments import (CensusIncomplete, cycle_census, run_basin_grid,
                           run_ensemble)
 from .model import PTuple, validate_game, validate_terminal
-from .riccati import FULL_STORAGE_LIMIT, ConvergenceStop, run_recursion
+from .riccati import (FULL_STORAGE_LIMIT, ConvergenceStop, _one_blas_thread,
+                      run_recursion)
 from .simulate import simulate
 
 # Integer options that count steps or items and must be at least 1.
@@ -416,6 +417,7 @@ def dispatch(config: RunConfig) -> int:
     return code
 
 
+@_one_blas_thread()
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:

@@ -24,7 +24,8 @@ import numpy as np
 from .analysis import NashVerification, nash_verify_stationary
 from .model import GainTuple, GameSpec, PTuple
 from .riccati import (NoConvergence, NotStabilizable, SingularStageSystem,
-                      _solve_each, _stage_map_batch, riccati_step)
+                      _one_blas_thread, _solve_each, _stage_map_batch,
+                      riccati_step)
 
 # Points closer than this (relative) are considered the same equilibrium.
 DEDUP_TOL = 1e-6
@@ -165,6 +166,7 @@ def _pin_to_stage_map(game: GameSpec, x: np.ndarray) -> tuple[float, float]:
     return float(x[0]), float(x[1])
 
 
+@_one_blas_thread()
 def scalar_two_agent_equilibria(game: GameSpec, p_min: float = 1e-4,
                                 p_max: float = 1e6,
                                 pin: bool = True) -> EquilibriumSet:
@@ -257,6 +259,7 @@ def _unpack(x: np.ndarray, n: int, N: int) -> PTuple:
     return PTuple(m + np.triu(m, 1).swapaxes(-1, -2))
 
 
+@_one_blas_thread()
 def residual_descent_search(game: GameSpec, inits=None, restarts: int = 20,
                             seed: int = 0) -> EquilibriumSet:
     """Search for stationary equilibria by driving the fixed-point

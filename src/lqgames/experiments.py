@@ -20,6 +20,7 @@ from .analysis import (ClassifyOptions, VERDICT_CONVERGED, VERDICT_CYCLE,
                        VERDICTS, classify)
 from .equilibria import EquilibriumSet, _newton, scalar_two_agent_equilibria
 from .model import GameSpec, PTuple, validate_game
+from .riccati import _one_blas_thread
 
 # Basin cells whose fixed point sits farther than this (relative) from
 # every known equilibrium land in the unmatched bucket.
@@ -103,6 +104,7 @@ class BasinMap:
         return counts
 
 
+@_one_blas_thread()
 def run_basin_grid(game: GameSpec, axis_samples: int = 100,
                    q_range: tuple[float, float] = (0.3, 30.0),
                    opts: ClassifyOptions | None = None,
@@ -177,6 +179,7 @@ class EnsembleReport:
         return stats.counts.get(VERDICT_CONVERGED, 0) / self.trials_per_cell
 
 
+@_one_blas_thread()
 def run_ensemble(cells, trials: int, master_seed: int,
                  opts: ClassifyOptions | None = None) -> EnsembleReport:
     """Classify `trials` random (game, terminal) draws per (n, m, N) cell.
@@ -228,6 +231,7 @@ class CycleCensus:
         return sum(self.cells[tuple(cell)].histogram.values())
 
 
+@_one_blas_thread()
 def cycle_census(cells, target: int, master_seed: int,
                  opts: ClassifyOptions | None = None,
                  cap: int = CENSUS_EXAMINATION_CAP) -> CycleCensus:

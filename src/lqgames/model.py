@@ -88,6 +88,20 @@ def stack_norms(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(flat, flat))
 
 
+def stack_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Relative Frobenius distance ||a^i - b^i||_F / (1 + ||a^i||_F) of
+    every matrix in a (..., N, n, n) C-ordered stack a from its match in
+    a stack b that broadcasts against it, shaped (..., N); bit-identical
+    to the same formula through frobenius (the same dot products, then
+    correctly rounded sqrt and division). Callers take the max over
+    agents; for one pair of stacks that is cheaper in Python floats than
+    as a numpy reduction."""
+    rows = a.shape[:-2] + (-1,)
+    flat, diff = a.reshape(rows), (a - b).reshape(rows)
+    return (np.sqrt(np.vecdot(diff, diff))
+            / (1.0 + np.sqrt(np.vecdot(flat, flat))))
+
+
 class GameSpec:
     """Immutable N-player LQ game definition.
 
@@ -225,7 +239,9 @@ class PTuple(_MatrixTuple):
     def __init__(self, entries):
         mats = [_symmetric(e) for e in entries]
         if mats and all(m.shape == mats[0].shape for m in mats):
-            self._set(np.stack(mats))
+            stack = np.stack(mats)
+            stack.setflags(write=False)
+            object.__setattr__(self, "_stack", stack)
         else:
             object.__setattr__(self, "entries", tuple(map(_freeze, mats)))
             object.__setattr__(self, "_stack", None)
@@ -234,13 +250,10 @@ class PTuple(_MatrixTuple):
     def _trusted(cls, stack):
         """Wrap a freshly computed, exactly symmetric (N, n, n) stack
         without copying it; it is frozen in place."""
-        obj = object.__new__(cls)
-        obj._set(stack)
-        return obj
-
-    def _set(self, stack):
         stack.setflags(write=False)
-        object.__setattr__(self, "_stack", stack)
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "_stack", stack)
+        return obj
 
     def _views(self):
         return tuple(self._stack)
@@ -251,6 +264,11 @@ class PTuple(_MatrixTuple):
         if self._stack is None:
             raise ValueError("value matrices of unequal shape have no stack")
         return self._stack
+
+    def distance(self, other) -> float:
+        """Max over agents of relative Frobenius distance,
+        ||X^i - O^i||_F / (1 + ||X^i||_F), over the two stacks at once."""
+        return max(stack_distances(self.stack, other.stack).tolist())
 
     def norms(self) -> list[float]:
         return [frobenius(m) for m in self.entries]

@@ -15,11 +15,16 @@ what the analysis module classifies (fixed point, cycle, or neither).
 Sign convention: gains act as u^i = -K^i x, so Acl = A - sum_j B^j K^j.
 """
 
+import contextlib
+import ctypes
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy.linalg import get_lapack_funcs
 
 from .model import (GainTuple, GameSpec, PTuple, frobenius, pbh_stabilizable,
@@ -108,9 +113,63 @@ class RecursionTrace:
         return [self.gains[horizon - 1 - t] for t in range(horizon)]
 
 
-# LAPACK routines for the float64 stage system, fetched once.
-_getrf, _gecon, _getrs, _lange = get_lapack_funcs(
-    ("getrf", "gecon", "getrs", "lange"), (np.empty((1, 1)),))
+# LAPACK routines for the float64 stage system, fetched once. gesv is
+# getrf then getrs, so its solution is the one those two give.
+_gesv, _gecon, _lange = get_lapack_funcs(
+    ("gesv", "gecon", "lange"), (np.empty((1, 1)),))
+
+
+# Prefix of the thread-count functions that numpy's and scipy's OpenBLAS
+# builds export (numpy's with the 64-bit-integer suffix "64_").
+_OPENBLAS = "scipy_openblas_"
+
+
+@functools.cache
+def _blas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS bundled with
+    numpy and scipy, found by their exported names through ctypes on first
+    use; empty where there are none (another BLAS, another layout)."""
+    controls = []
+    for module in (np, scipy):
+        libs = Path(module.__file__).parent.parent / f"{module.__name__}.libs"
+        for lib in sorted(libs.glob("*openblas*")):
+            try:
+                handle = ctypes.CDLL(str(lib))
+            except OSError:
+                continue
+            for suffix in ("64_", ""):
+                get = getattr(handle, f"{_OPENBLAS}get_num_threads{suffix}",
+                              None)
+                put = getattr(handle, f"{_OPENBLAS}set_num_threads{suffix}",
+                              None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    controls.append((get, put))
+                    break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block, or the decorated function, with every bundled
+    OpenBLAS at one thread, and give each its previous count back on exit.
+    Stage systems have a few dozen rows at most: threads buy nothing there,
+    and on a busy machine they wait for each other several times longer
+    than the work takes. Re-entrant: a nested block finds one thread
+    and changes nothing, as does a process pinned by OPENBLAS_NUM_THREADS.
+    The counts are process-wide, so BLAS calls other threads make
+    meanwhile run on one thread too. Does nothing where no OpenBLAS
+    control is found."""
+    changed = [(put, count) for get, put in _blas_thread_controls()
+               if (count := get()) != 1]
+    for put, _ in changed:
+        put(1)
+    try:
+        yield
+    finally:
+        for put, count in changed:
+            put(count)
 
 
 class _Stage:
@@ -179,15 +238,16 @@ def _stage_map(stage: _Stage, P: np.ndarray):
 
     Assembles the stacked gain system [M | rhs] = (B')_i P^i [B^1 ... B^N
     | A] plus block-diagonal R (gathering the real rows out of the padded
-    ones when the m_i differ). One stack is LU-factored, raising
-    SingularStageSystem when the factorization fails, M is not finite, or
-    the LAPACK reciprocal condition estimate of M (1-norm) is below
-    SINGULARITY_RCOND. gecon has no batched form, so a batch goes through
-    stacked np.linalg.solve and raises nothing: an exactly singular member
-    comes back non-finite. Then forms Acl = A - B^1 K^1 - B^2 K^2 - ... in
-    that order and updates every agent through Q^i + ((K^i)' R^i) K^i +
-    (Acl' P^i) Acl, symmetrized. Returns values shaped like P and each
-    stack's (sum m, n) stacked gains, whose rows stage.rows[i] are K^i.
+    ones when the m_i differ). One stack is LU-factored and solved in one
+    gesv call, raising SingularStageSystem when the factorization fails,
+    M is not finite, or the LAPACK reciprocal condition estimate of M
+    (1-norm) is below SINGULARITY_RCOND. gecon has no batched form, so a
+    batch goes through stacked np.linalg.solve and raises nothing: an
+    exactly singular member comes back non-finite. Then forms Acl = A -
+    B^1 K^1 - B^2 K^2 - ... in that order and updates every agent through
+    Q^i + ((K^i)' R^i) K^i + (Acl' P^i) Acl, symmetrized. Returns values
+    shaped like P and each stack's (sum m, n) stacked gains, whose rows
+    stage.rows[i] are K^i.
     """
     total = len(stage.R_block)
     N, n, mb = stage.B.shape
@@ -201,14 +261,11 @@ def _stage_map(stage: _Stage, P: np.ndarray):
         gains = _solve_each(M, system[..., total:])
     else:
         anorm = _lange("1", M)
-        lu, piv, info = _getrf(M)
-        if info > 0 or not math.isfinite(anorm):
+        lu, _, gains, info = _gesv(M, system[:, total:])
+        if info != 0 or not math.isfinite(anorm):
             raise SingularStageSystem(0.0)
         rcond = float(_gecon(lu, anorm, "1")[0])
         if rcond < SINGULARITY_RCOND:
-            raise SingularStageSystem(rcond)
-        gains, info = _getrs(lu, piv, system[:, total:])
-        if info != 0:
             raise SingularStageSystem(rcond)
 
     if stage.padded_rows is None:
@@ -325,10 +382,13 @@ def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
     states.append(p)
     # Agent norms of the current state: the next step's distance
     # denominators, computed once per state. Only the stacks are read, so
-    # no per-agent entries are built here.
+    # no per-agent entries are built here. Each step takes its squared
+    # norms in two vecdot calls (stack_norms' dot products) and finishes
+    # them in Python floats, which round sqrt and division as numpy does.
     P = p.stack
-    norms = stack_norms(P)
-    sup = max(norms.tolist())
+    rows = (len(P), -1)
+    norms = stack_norms(P).tolist()
+    sup = max(norms)
     reason = "completed"
     rel = float("inf")
     rcond = None
@@ -341,12 +401,14 @@ def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
             rcond = err.rcond
             break
         P_new = p_new.stack
-        new_norms = stack_norms(P_new)
-        rel = max((stack_norms(P - P_new) / (1.0 + norms)).tolist())
+        flat, diff = P_new.reshape(rows), (P - P_new).reshape(rows)
+        new_norms = [math.sqrt(q) for q in np.vecdot(flat, flat).tolist()]
+        rel = max([math.sqrt(d) / (1.0 + a) for d, a
+                   in zip(np.vecdot(diff, diff).tolist(), norms)])
         states.append(p_new)
         gains.append(k)
         steps = s + 1
-        top = max(new_norms.tolist())
+        top = max(new_norms)
         if top > sup:
             sup = top
         p, P, norms = p_new, P_new, new_norms

@@ -10,8 +10,11 @@ map over a batch of value stacks gives each member what riccati_step
 gives it (bit for bit for scalar games) with an exactly singular member
 left non-finite on its own, the gains solve the stacked stage system to
 a small residual and every agent's value equals the explicit update
-form, and classify gives every valid game and terminal a verdict
-without raising.
+form, classify gives every valid game and terminal a verdict without
+raising, run_recursion's residual and sup norm and _minimal_period's
+period are those of the plain np.linalg.norm formulas and pair-by-pair
+scan, and a full-horizon trace's values are the costs of playing its
+gains (the dynamic-programming identity).
 """
 
 import numpy as np
@@ -20,8 +23,11 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
 import lqgames as lq
+from lqgames.analysis import (CYCLE_TOL, CYCLE_WINDOW, MAX_PERIOD,
+                              _minimal_period)
 from lqgames.experiments import VERDICTS, random_game, random_terminal
 from lqgames.riccati import _stage_map_batch
+from lqgames.simulate import finite_horizon_cost, simulate
 
 CELLS = [(1, 1, 2), (2, 1, 3), (3, 3, 2)]
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
@@ -244,3 +250,129 @@ def test_classify_always_returns_a_verdict(case, horizon):
     assert lq.validate_terminal(game, terminal).ok
     verdict = lq.classify(game, terminal, lq.ClassifyOptions(horizon=horizon))
     assert verdict.verdict in VERDICTS
+
+
+def _rel(a, b) -> float:
+    return float(np.linalg.norm(a - b) / (1.0 + np.linalg.norm(a)))
+
+
+def _check_recursion_norms(trace):
+    """The termination record's residual and sup norm, recomputed with
+    np.linalg.norm over the whole (fully stored) trace."""
+    states = [p.stack for p in trace.p_states]
+    term = trace.terminated
+    assert len(states) == term.steps + 1
+    assert term.sup_norm == max(float(np.linalg.norm(m))
+                                for stack in states for m in stack)
+    if term.steps == 0:
+        assert term.final_residual == -1.0
+    else:
+        assert term.final_residual == max(
+            _rel(a, b) for a, b in zip(states[-2], states[-1]))
+
+
+@PROPERTY
+@given(st.one_of(games(), mixed_games()), st.integers(1, 200))
+def test_recursion_norms_match_numpy(case, horizon):
+    game, terminal = case
+    _check_recursion_norms(lq.run_recursion(game, terminal, horizon,
+                                            stop=lq.ConvergenceStop()))
+
+
+@pytest.mark.parametrize("game, terminal, reason", [
+    # Uncontrolled and unstable: P grows by A^2 every step.
+    (lq.GameSpec(2, [[0]], [1], [1]), [1.0], "diverged"),
+    # A = 0 makes the first image Q exactly; at P = (-1/2, -1/2) the
+    # stage matrix [[1 + P1, P1], [P2, 1 + P2]] has determinant 0.
+    (lq.GameSpec(0, [1, 1], [-0.5, -0.5], [1, 1]), [1.0, 1.0], "singular"),
+], ids=["diverged", "singular"])
+def test_recursion_norms_match_numpy_on_early_stops(game, terminal, reason):
+    trace = lq.run_recursion(game, lq.PTuple(terminal), 1_000)
+    assert trace.terminated.reason == reason
+    assert trace.terminated.steps >= 1
+    _check_recursion_norms(trace)
+
+
+def reference_period(states, tol, max_period, window):
+    """_minimal_period as a plain scan: every pair of every period, in
+    ascending L."""
+    S = len(states) - 1
+    for L in range(1, max_period + 1):
+        need = window * L
+        if need + L > S + 1:
+            return None
+        if all(not states[s].distance(states[s + L]) >= tol
+               for s in range(S - L, S - L - need, -1)):
+            return L
+    return None
+
+
+def _periods(states):
+    return [f(states, CYCLE_TOL, MAX_PERIOD, CYCLE_WINDOW)
+            for f in (_minimal_period, reference_period)]
+
+
+@PROPERTY
+@given(st.one_of(games(), mixed_games()), st.integers(1, 400))
+def test_minimal_period_matches_pairwise_scan(case, length):
+    game, terminal = case
+    states = lq.run_recursion(game, terminal, 400).p_states[:length]
+    found, expected = _periods(states)
+    assert found == expected
+
+
+def test_minimal_period_matches_pairwise_scan_on_a_cycle(found_cycle):
+    game, terminal, cert = found_cycle
+    states = lq.run_recursion(game, terminal, 10_000).p_states
+    # The whole trace, one step shorter, and the shortest tail that holds
+    # CYCLE_WINDOW + 1 periods, then one state less.
+    shortest = (CYCLE_WINDOW + 1) * cert.period
+    for tail in (states, states[:-1], states[-shortest:],
+                 states[1 - shortest:]):
+        found, expected = _periods(tail)
+        assert found == expected
+        assert (found == cert.period) == (len(tail) >= shortest)
+
+
+def _planted(period, rng, prefix=5):
+    """A trace of scalar two-agent states: a random prefix, then phases of
+    the given period; state S - j is phase j % period. Agent 0 reads 0.0
+    in every phase, so giving it the value t in one state puts that state
+    at relative distance exactly t from its match one period earlier."""
+    phases = [lq.PTuple([0.0, v]) for v in rng.uniform(1.0, 2.0, period)]
+    count = (CYCLE_WINDOW + 1) * period
+    return ([lq.PTuple(rng.uniform(3.0, 4.0, 2)) for _ in range(prefix)]
+            + [phases[j % period] for j in range(count - 1, -1, -1)])
+
+
+def test_minimal_period_on_planted_periods():
+    rng = np.random.default_rng(0)
+    for period in range(2, MAX_PERIOD + 1):
+        states = _planted(period, rng)
+        assert _periods(states) == [period, period]
+        # A pair exactly at CYCLE_TOL is no match: in the first pass (the
+        # last state against the one a period earlier), or in the pair
+        # scan, inside the window or at its far end.
+        S = len(states) - 1
+        for at in (S, S - period + 1, S - CYCLE_WINDOW * period + 1):
+            bent = list(states)
+            bent[at] = lq.PTuple([CYCLE_TOL, bent[at][1]])
+            assert bent[at - period].distance(bent[at]) == CYCLE_TOL
+            found, expected = _periods(bent)
+            assert found == expected != period
+
+
+@PROPERTY
+@given(st.one_of(games(), mixed_games()), st.integers(1, 30),
+       st.integers(0, 2 ** 32 - 1))
+def test_dynamic_programming_cost_identity(case, horizon, seed):
+    game, terminal = case
+    trace = lq.run_recursion(game, terminal, horizon)
+    assume(trace.terminated.reason == "completed")
+    x0 = np.random.default_rng(seed).standard_normal(game.n)
+    traj = simulate(game, trace.forward_gains(horizon), x0, horizon)
+    value = trace.p_states[horizon]
+    for i in range(game.num_agents):
+        direct = float(x0 @ np.asarray(value[i]) @ x0)
+        played = horizon * finite_horizon_cost(traj, game, i, terminal)
+        assert abs(played - direct) <= 1e-8 * (1.0 + abs(direct))

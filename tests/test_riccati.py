@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import solve_discrete_are
 
 import lqgames as lq
+from lqgames import riccati
 from lqgames.experiments import _rng_for, random_game
 from lqgames.riccati import CONV_WINDOW
 from conftest import random_pd_tuple
@@ -396,3 +397,38 @@ def test_single_agent_recursion_matches_dare_oracle():
         P = np.asarray(trace.final_state()[0])
         assert np.linalg.norm(P - P_ref) < 1e-6 * (1 + np.linalg.norm(P_ref))
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+def test_library_runs_blas_on_one_thread_and_restores_counts(monkeypatch,
+                                                             fig1_game):
+    controls = riccati._blas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control in this numpy/scipy build")
+
+    def counts():
+        return [get() for get, _ in controls]
+
+    seen = []
+    original = riccati.riccati_step
+
+    def recording(*args, **kwargs):
+        seen.append(counts())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(riccati, "riccati_step", recording)
+    before = counts()
+    try:
+        for _, put in controls:
+            put(2)
+        host = counts()
+        lq.classify(fig1_game, lq.PTuple([1.0, 1.0]))
+        assert counts() == host
+        lq.run_ensemble([(1, 1, 2)], 3, 0, lq.ClassifyOptions(horizon=50))
+        assert counts() == host
+    finally:
+        for (_, put), count in zip(controls, before):
+            put(count)
+    assert seen and all(c == [1] * len(controls) for c in seen)
