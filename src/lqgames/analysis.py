@@ -32,7 +32,7 @@ import numpy as np
 
 from .model import (GainTuple, GameSpec, PTuple, stack_distances,
                     validate_terminal)
-from .riccati import (CONV_TOL, CONV_WINDOW, ConvergenceStop, NoConvergence,
+from .riccati import (CONV_WINDOW, ConvergenceStop, NoConvergence,
                       RecursionTrace, SingularStageSystem, _one_blas_thread,
                       best_response_dare, closed_loop, periodic_best_response,
                       riccati_step, run_recursion)
@@ -141,20 +141,19 @@ def fixed_point_residual(p: PTuple, game: GameSpec) -> float:
     return p.distance(image)
 
 
-def detect_convergence(trace: RecursionTrace,
-                       tol: float = CONV_TOL) -> tuple[PTuple, int] | None:
+def detect_convergence(trace: RecursionTrace) -> tuple[PTuple, int] | None:
     """Earliest settled point of a trace, or None.
 
     Finds the first index s* whose following CONV_WINDOW consecutive
     relative step changes (max over agents of ||P_{s+1}^i - P_s^i||_F
-    scaled by 1 + ||P_s^i||_F) all fall below tol, and returns the state
+    scaled by 1 + ||P_s^i||_F) all fall below CONV_TOL, and returns the state
     closing that window together with s*. Step counts are absolute even
     when the trace retains only a trailing window. The rule is
     ConvergenceStop's, so a recursion that stopped on it settled
     CONV_WINDOW steps before its end.
     """
     states = trace.p_states
-    rule = ConvergenceStop(tol=tol)
+    rule = ConvergenceStop()
     for s in range(len(states) - 1):
         if rule(s + 1, states[s].distance(states[s + 1])):
             return states[s + 1], trace.first_step + s + 1 - CONV_WINDOW
@@ -298,7 +297,7 @@ def verify_cycle(phases, game: GameSpec) -> CycleCertificate:
     )
 
 
-@_one_blas_thread()
+@_one_blas_thread
 def classify(game: GameSpec, terminal: PTuple,
              opts: ClassifyOptions | None = None) -> Classification:
     """Run the recursion and name its asymptotic regime.

@@ -15,7 +15,8 @@ main returns the code rather than raising SystemExit. A game, terminal
 or phases file that is missing, unreadable or fails validation is a
 usage error, except that validate reports a failing game with exit 1.
 Phases are checked for count, shape and finiteness; certification
-judges the rest.
+judges the rest. equilibria enumerates a scalar two-agent game and
+searches any other game by residual descent.
 """
 
 import argparse
@@ -84,7 +85,6 @@ _OPTIONS = {
     },
     "equilibria": {
         "game": (str, None, "game file (JSON)"),
-        "method": (str, "auto", "enumeration | descent | auto"),
         "restarts": (int, 20, "random descent initializations"),
         "seed": (int, 0, "seed for descent initializations"),
     },
@@ -360,18 +360,14 @@ def dispatch(config: RunConfig) -> int:
 
     elif config.command == "equilibria":
         game = _load_game(config)
-        method = p["method"]
-        if method == "auto":
-            method = ("enumeration"
-                      if game.n == 1 and game.num_agents == 2 else "descent")
         try:
-            if method == "enumeration":
+            if game.n == 1 and game.num_agents == 2:
+                method = "enumeration"
                 eqs = scalar_two_agent_equilibria(game)
-            elif method == "descent":
+            else:
+                method = "descent"
                 eqs = residual_descent_search(game, restarts=p["restarts"],
                                               seed=p["seed"])
-            else:
-                raise UsageError(f"unknown method '{method}'")
         except NoEquilibriumFound as err:
             print(f"no equilibrium found: {err}", file=sys.stderr)
             return 1
@@ -417,7 +413,7 @@ def dispatch(config: RunConfig) -> int:
     return code
 
 
-@_one_blas_thread()
+@_one_blas_thread
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:

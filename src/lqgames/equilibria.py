@@ -29,8 +29,11 @@ from .riccati import (NoConvergence, NotStabilizable, SingularStageSystem,
 
 # Points closer than this (relative) are considered the same equilibrium.
 DEDUP_TOL = 1e-6
-# Points per axis of the scalar enumeration's logarithmic grid, and the
-# batches it is evaluated in, which bound its memory.
+# The scalar enumeration's logarithmic grid: its range in each of P^1
+# and P^2, its points per axis, and the batches it is evaluated in, which
+# bound its memory.
+GRID_MIN = 1e-4
+GRID_MAX = 1e6
 GRID_POINTS = 200
 GRID_BANDS = 8
 # Half-width, in ulps per axis, of the lattice searched for a point the
@@ -166,26 +169,24 @@ def _pin_to_stage_map(game: GameSpec, x: np.ndarray) -> tuple[float, float]:
     return float(x[0]), float(x[1])
 
 
-@_one_blas_thread()
-def scalar_two_agent_equilibria(game: GameSpec, p_min: float = 1e-4,
-                                p_max: float = 1e6,
-                                pin: bool = True) -> EquilibriumSet:
+@_one_blas_thread
+def scalar_two_agent_equilibria(game: GameSpec) -> EquilibriumSet:
     """Enumerate all stationary equilibria of a scalar two-agent game.
 
     Evaluates the engine's stage map on a GRID_POINTS x GRID_POINTS
-    logarithmic grid of (P1, P2) in [p_min, p_max]^2, in GRID_BANDS
+    logarithmic grid of (P1, P2) in [GRID_MIN, GRID_MAX]^2, in GRID_BANDS
     batches, keeps the cells where both residual components change sign,
     polishes their centres by one batched Newton, deduplicates, and
-    verifies. With pin=True the roots are refined until the same map
-    holds each exactly stationary (see _pin_to_stage_map), so the points
-    double as recursion-pinning terminal costs. Unstable fixed points
+    verifies. The roots are refined until the same map holds each exactly
+    stationary (see _pin_to_stage_map), so the points double as
+    recursion-pinning terminal costs. Unstable fixed points
     (|Acl| >= 1) are not equilibria and are only counted in the metadata.
     Raises NoEquilibriumFound when nothing verifies.
     """
     if game.n != 1 or game.num_agents != 2:
         raise ValueError("enumeration requires n = 1 and exactly two agents")
 
-    axis = np.logspace(np.log10(p_min), np.log10(p_max), GRID_POINTS)
+    axis = np.logspace(np.log10(GRID_MIN), np.log10(GRID_MAX), GRID_POINTS)
     grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
     F = np.concatenate([_image(game, band) - band for band in np.array_split(
         grid.reshape(-1, 2), GRID_BANDS)]).reshape(grid.shape)
@@ -208,7 +209,7 @@ def scalar_two_agent_equilibria(game: GameSpec, p_min: float = 1e-4,
                for r in roots):
             roots.append(root)
     roots.sort(key=lambda r: (r[0], r[1]))
-    if pin and roots:
+    if roots:
         refined, _ = _newton(game, np.array(roots), pin=True)
         roots = [_pin_to_stage_map(game, x) for x in refined]
 
@@ -231,7 +232,7 @@ def scalar_two_agent_equilibria(game: GameSpec, p_min: float = 1e-4,
 
     metadata = {
         "grid_points": GRID_POINTS,
-        "p_range": (p_min, p_max),
+        "p_range": (GRID_MIN, GRID_MAX),
         "candidate_cells": int(len(cells)),
         "roots_polished": len(roots),
         "unstable_discarded": unstable,
@@ -259,7 +260,7 @@ def _unpack(x: np.ndarray, n: int, N: int) -> PTuple:
     return PTuple(m + np.triu(m, 1).swapaxes(-1, -2))
 
 
-@_one_blas_thread()
+@_one_blas_thread
 def residual_descent_search(game: GameSpec, inits=None, restarts: int = 20,
                             seed: int = 0) -> EquilibriumSet:
     """Search for stationary equilibria by driving the fixed-point

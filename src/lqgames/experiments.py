@@ -104,7 +104,7 @@ class BasinMap:
         return counts
 
 
-@_one_blas_thread()
+@_one_blas_thread
 def run_basin_grid(game: GameSpec, axis_samples: int = 100,
                    q_range: tuple[float, float] = (0.3, 30.0),
                    opts: ClassifyOptions | None = None,
@@ -179,7 +179,7 @@ class EnsembleReport:
         return stats.counts.get(VERDICT_CONVERGED, 0) / self.trials_per_cell
 
 
-@_one_blas_thread()
+@_one_blas_thread
 def run_ensemble(cells, trials: int, master_seed: int,
                  opts: ClassifyOptions | None = None) -> EnsembleReport:
     """Classify `trials` random (game, terminal) draws per (n, m, N) cell.
@@ -227,11 +227,8 @@ class CycleCensus:
     master_seed: int = 0
     examination_cap: int = CENSUS_EXAMINATION_CAP
 
-    def total(self, cell) -> int:
-        return sum(self.cells[tuple(cell)].histogram.values())
 
-
-@_one_blas_thread()
+@_one_blas_thread
 def cycle_census(cells, target: int, master_seed: int,
                  opts: ClassifyOptions | None = None,
                  cap: int = CENSUS_EXAMINATION_CAP) -> CycleCensus:

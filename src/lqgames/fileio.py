@@ -26,6 +26,8 @@ from .riccati import RecursionTrace, TerminationRecord
 CHUNK_ROWS = 256
 # Rows of a plot series formatted and written at a time.
 SERIES_CHUNK_ROWS = 4096
+# Periods a cycle certificate is unrolled over for its plot series.
+CERTIFICATE_PERIODS = 4
 
 
 def _matrix(m: np.ndarray) -> list:
@@ -339,13 +341,14 @@ def trace_value_series(trace: RecursionTrace, game: GameSpec):
     return diffs, _series(steps[:len(K)], rho)
 
 
-def certificate_trace(cert: CycleCertificate, periods: int = 4) -> RecursionTrace:
-    """A cycle certificate's loop unrolled `periods` times in loop order:
-    state s is phase s mod L and gain s the gain tuple applied moving
-    into it."""
+def certificate_trace(cert: CycleCertificate) -> RecursionTrace:
+    """A cycle certificate's loop unrolled CERTIFICATE_PERIODS times in
+    loop order: state s is phase s mod L and gain s the gain tuple applied
+    moving into it."""
     return RecursionTrace(
-        list(cert.phases) * periods, list(cert.gains) * periods,
-        TerminationRecord("completed", periods * cert.period,
+        list(cert.phases) * CERTIFICATE_PERIODS,
+        list(cert.gains) * CERTIFICATE_PERIODS,
+        TerminationRecord("completed", CERTIFICATE_PERIODS * cert.period,
                           cert.cycle_residual))
 
 
@@ -356,7 +359,8 @@ def export_trace_figures(trace_or_cert, game: GameSpec, out_dir,
     Writes gain_series.csv (per-step gain entries), value_distance_series.csv
     (per-step Frobenius distance of each agent's value matrix to the first
     state or phase), and closed_loop_spectra.csv (per-step spectral radius
-    of the closed loop). Certificates are unrolled over four periods.
+    of the closed loop). Certificates are unrolled over
+    CERTIFICATE_PERIODS periods.
     Returns the written paths.
     """
     trace = trace_or_cert

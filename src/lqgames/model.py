@@ -155,8 +155,7 @@ class GameSpec:
         object.__setattr__(self, name, value)
 
     def __getstate__(self):
-        # The cached stage, step scratch buffer included, is rebuilt on
-        # the first step after unpickling.
+        # The cached stage is rebuilt on the first step after unpickling.
         return {name: getattr(self, name) for name in self.__slots__
                 if name != "_stage"}
 

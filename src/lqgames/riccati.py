@@ -15,7 +15,6 @@ what the analysis module classifies (fixed point, cycle, or neither).
 Sign convention: gains act as u^i = -K^i x, so Acl = A - sum_j B^j K^j.
 """
 
-import contextlib
 import ctypes
 import functools
 import math
@@ -150,26 +149,29 @@ def _blas_thread_controls() -> tuple:
     return tuple(controls)
 
 
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block, or the decorated function, with every bundled
-    OpenBLAS at one thread, and give each its previous count back on exit.
-    Stage systems have a few dozen rows at most: threads buy nothing there,
-    and on a busy machine they wait for each other several times longer
-    than the work takes. Re-entrant: a nested block finds one thread
-    and changes nothing, as does a process pinned by OPENBLAS_NUM_THREADS.
-    The counts are process-wide, so BLAS calls other threads make
-    meanwhile run on one thread too. Does nothing where no OpenBLAS
-    control is found."""
-    changed = [(put, count) for get, put in _blas_thread_controls()
-               if (count := get()) != 1]
-    for put, _ in changed:
-        put(1)
-    try:
-        yield
-    finally:
-        for put, count in changed:
-            put(count)
+def _one_blas_thread(func):
+    """Decorator: run func with every bundled OpenBLAS at one thread, and
+    give each its previous count back on exit. Stage systems have a few
+    dozen rows at most: threads buy nothing there, and on a busy machine
+    they wait for each other several times longer than the work takes.
+    Re-entrant: a nested call finds one thread and changes nothing, as
+    does a process pinned by OPENBLAS_NUM_THREADS. The counts are
+    process-wide, so BLAS calls other threads make meanwhile run on one
+    thread too. Does nothing where no OpenBLAS control is found."""
+
+    @functools.wraps(func)
+    def guarded(*args, **kwargs):
+        changed = [(put, count) for get, put in _blas_thread_controls()
+                   if (count := get()) != 1]
+        for put, _ in changed:
+            put(1)
+        try:
+            return func(*args, **kwargs)
+        finally:
+            for put, count in changed:
+                put(count)
+
+    return guarded
 
 
 class _Stage:
@@ -183,14 +185,12 @@ class _Stage:
     R_block      (sum m, sum m)   block-diagonal R^i
     R            (N, mb, mb)      R^i
     Q            (N, n, n)        Q^i
-    terms        (N + 1, n, n)    A, then scratch for B^1 K^1 ... B^N K^N,
-                                  rewritten by every step
     rows         agent i's rows of the stacked gain system, as slices
     padded_rows  where those rows sit among the N * mb padded rows, or
                  None when every m_i is mb and there is no padding
     """
 
-    __slots__ = ("A", "BT", "B", "BsA", "R_block", "R", "Q", "terms", "rows",
+    __slots__ = ("A", "BT", "B", "BsA", "R_block", "R", "Q", "rows",
                  "padded_rows")
 
     def __init__(self, A, B, Q, R):
@@ -215,8 +215,6 @@ class _Stage:
         self.BT = self.B.transpose(0, 2, 1)
         self.BsA = np.hstack([*B, A])
         self.Q = np.stack(Q)
-        self.terms = np.empty((N + 1, n, n))
-        self.terms[0] = A
 
 
 def _solve_each(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -277,13 +275,12 @@ def _stage_map(stage: _Stage, P: np.ndarray):
     # Subtract B^j K^j one agent at a time, never as A - [B^1 ... B^N] K:
     # a re-associated map leaves saddle equilibria such as Fig. 1's with
     # no exactly stationary float neighbour for pinning.
-    terms = stage.terms
-    if lead:                    # the step scratch holds one stack only
-        terms = np.empty(lead + terms.shape)
-        terms[:, 0] = stage.A
-    np.matmul(stage.B, K, out=terms[..., 1:, :, :])
-    # A batch's Acl keeps a unit agent axis to broadcast over its stack.
-    Acl = np.subtract.reduce(terms, axis=-3, keepdims=bool(lead))
+    BK = stage.B @ K
+    Acl = stage.A - BK[..., 0, :, :]
+    for j in range(1, N):
+        Acl -= BK[..., j, :, :]
+    if lead:                    # a unit agent axis to broadcast over P
+        Acl = Acl[..., None, :, :]
     values = stage.Q + K.mT @ stage.R @ K
     values += Acl.mT @ P @ Acl
     return symmetrize(values), gains
@@ -313,9 +310,7 @@ def riccati_step(p_next: PTuple, game: GameSpec) -> tuple[PTuple, GainTuple]:
 
     Solves the stage-gain system at p_next, then updates every agent via
     P = Q^i + (K^i)' R^i K^i + Acl' P_next^i Acl and symmetrizes. Raises
-    ValueError unless p_next holds one n x n matrix per agent. Steps on
-    one game share scratch space, so they must not run in two threads at
-    once; separate processes, or separate GameSpec objects, are fine.
+    ValueError unless p_next holds one n x n matrix per agent.
     """
     stage = game._stage or _cache_stage(game)
     P = p_next.stack

@@ -13,7 +13,10 @@ import numpy as np
 from .model import GainTuple, GameSpec, PTuple
 from .riccati import RecursionTrace
 
+# Deviation sizes, cycled through, and the relative cost slack below
+# which a deviation that gains counts as a violation.
 DEVIATION_SCALES = (1e-3, 1e-1, 1.0)
+DEVIATION_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -32,7 +35,8 @@ class Trajectory:
 @dataclass
 class DeviationReport:
     """Cost gaps J_deviating - J_equilibrium for random unilateral
-    deviations of one agent; negative gaps beyond slack are violations."""
+    deviations of one agent; negative gaps beyond DEVIATION_SLACK are
+    violations."""
 
     agent: int
     baseline_cost: float
@@ -107,15 +111,15 @@ def finite_horizon_cost(traj: Trajectory, game: GameSpec, i: int,
 
 
 def deviation_test(game: GameSpec, trace: RecursionTrace, i: int, x0,
-                   perturbations: int = 100, seed: int = 0,
-                   slack: float = 1e-9) -> DeviationReport:
+                   perturbations: int = 100, seed: int = 0
+                   ) -> DeviationReport:
     """Check that agent i cannot gain from random unilateral deviations.
 
     The trace must cover a full horizon T (its gain schedule defines
     equilibrium play) and the game must be noise-free. Each perturbation
     adds independent per-step gain noise to agent i, with Frobenius size
     cycling through DEVIATION_SCALES; every deviating cost must be at
-    least the equilibrium cost minus slack * (1 + |J|).
+    least the equilibrium cost minus DEVIATION_SLACK * (1 + |J|).
     """
     if np.any(game.W != 0.0):
         raise ValueError("deviation test requires a noise-free game")
@@ -148,7 +152,7 @@ def deviation_test(game: GameSpec, trace: RecursionTrace, i: int, x0,
         gap = cost - base
         min_gap = min(min_gap, gap)
         max_gap = max(max_gap, gap)
-        if gap < -slack * (1.0 + abs(base)):
+        if gap < -DEVIATION_SLACK * (1.0 + abs(base)):
             violations.append((k, gap))
 
     return DeviationReport(agent=i, baseline_cost=base,

@@ -161,10 +161,11 @@ def test_unknown_equilibria_method_is_usage_error(tmp_path, fig1_files,
                                                   capsys):
     game_path, _ = fig1_files
     out = tmp_path / "o"
-    rc = main(["equilibria", "--game", str(game_path), "--method", "nope",
-               "--out", str(out)])
+    # The command picks the method from the game, so --method is no flag.
+    rc = main(["equilibria", "--game", str(game_path), "--method",
+               "descent", "--out", str(out)])
     assert rc == 2
-    assert "unknown method 'nope'" in capsys.readouterr().err
+    assert "unrecognized arguments: --method" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import lqgames as lq
+from lqgames import equilibria
 from lqgames.experiments import _rng_for, random_game
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -62,11 +63,13 @@ def test_enumeration_requires_scalar_two_agents(scalar_lqr):
         lq.scalar_two_agent_equilibria(scalar_lqr)
 
 
-def test_no_equilibrium_in_restricted_scan_range(fig1_game):
+def test_no_equilibrium_in_restricted_scan_range(fig1_game, monkeypatch):
     # all three roots lie above 1: a scan capped below that range finds
     # nothing and says so
+    monkeypatch.setattr(equilibria, "GRID_MIN", 1e-4)
+    monkeypatch.setattr(equilibria, "GRID_MAX", 1e-3)
     with pytest.raises(lq.NoEquilibriumFound):
-        lq.scalar_two_agent_equilibria(fig1_game, p_min=1e-4, p_max=1e-3)
+        lq.scalar_two_agent_equilibria(fig1_game)
 
 
 def test_descent_finds_scalar_lqr_solution(scalar_lqr):
@@ -111,7 +114,7 @@ def test_oracle_agreement_on_random_scalar_games():
         trial += 1
         game = random_game(1, 1, 2, rng)
         try:
-            enum = lq.scalar_two_agent_equilibria(game, pin=False)
+            enum = lq.scalar_two_agent_equilibria(game)
         except lq.NoEquilibriumFound:
             anomalies.append(trial)
             continue
@@ -145,7 +148,7 @@ def test_every_root_has_stable_closed_loop():
         rng = _rng_for(31337, trial)
         game = random_game(1, 1, 2, rng)
         try:
-            eqs = lq.scalar_two_agent_equilibria(game, pin=False)
+            eqs = lq.scalar_two_agent_equilibria(game)
         except lq.NoEquilibriumFound:
             continue
         assert eqs.search_metadata["unstable_discarded"] == 0

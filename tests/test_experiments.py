@@ -170,7 +170,7 @@ def test_trace_series_fixed_point(fig1_game, fig1_equilibria):
 def test_certificate_series_periodicity(found_cycle):
     game, _, cert = found_cycle
     L = cert.period
-    trace = certificate_trace(cert, periods=3)
+    trace = certificate_trace(cert)
     diff_rows, rho_rows = trace_value_series(trace, game)
     gain_rows = trace_gain_series(trace)
     diffs = {}

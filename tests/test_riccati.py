@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_discrete_are
@@ -233,6 +236,44 @@ def test_trace_reconstruction_invariant(fig1_game):
         assert trace.p_states[s + 1].distance(again) < 1e-12
         assert gains.distance(trace.gains[s]) < 1e-12
         assert trace.p_states[s].min_eigenvalue() > 0
+
+
+def test_threads_stepping_one_game_match_sequential_runs():
+    # Four threads share one GameSpec and switch as often as the
+    # interpreter allows: each thread's trace must equal the one a
+    # sequential run gives, bit for bit. The (2, 2, 2) game has a chaotic
+    # bounded orbit, so any value one step takes from another shows.
+    game = random_game(2, 2, 2, _rng_for(0, 0, 50))
+    terminals = [random_pd_tuple(np.random.default_rng(k), 2, 2)
+                 for k in range(4)]
+
+    def stacks(trace):
+        return ([p.stack for p in trace.p_states],
+                [k.stack for k in trace.gains])
+
+    expected = [stacks(lq.run_recursion(game, t, 1000)) for t in terminals]
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for _ in range(5):
+            results = [None] * len(terminals)
+
+            def work(j):
+                results[j] = stacks(lq.run_recursion(game, terminals[j], 1000))
+
+            threads = [threading.Thread(target=work, args=(j,))
+                       for j in range(len(terminals))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            for got, want in zip(results, expected):
+                assert all(np.array_equal(a, b)
+                           for a, b in zip(got[0] + got[1],
+                                           want[0] + want[1]))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_trace_ring_buffer():
