@@ -17,14 +17,16 @@ Sign convention: gains act as u^i = -K^i x, so Acl = A - sum_j B^j K^j.
 
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import threading
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy.linalg import get_lapack_funcs
 
 from .model import (GainTuple, GameSpec, PTuple, frobenius, pbh_stabilizable,
                     stack_norms, symmetrize)
@@ -112,10 +114,26 @@ class RecursionTrace:
         return [self.gains[horizon - 1 - t] for t in range(horizon)]
 
 
-# LAPACK routines for the float64 stage system, fetched once. gesv is
+def _load_flapack():
+    """scipy's f2py LAPACK extension, loaded by file from scipy's linalg
+    directory without importing the scipy.linalg package."""
+    where = str(Path(scipy.__file__).parent / "linalg")
+    spec = importlib.machinery.PathFinder.find_spec("_flapack", [where])
+    if spec is None:
+        raise ImportError(f"scipy's _flapack extension not found in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# LAPACK routines for the float64 stage system, fetched once: the f2py
+# wrappers that scipy.linalg.get_lapack_funcs returns for float64. The
+# scipy.linalg package is not imported because its array-API layer loads
+# numpy.f2py, numpy.testing, numpy.ma and unittest, which lqgames never
+# uses and which nearly double the cold start of every command. gesv is
 # getrf then getrs, so its solution is the one those two give.
-_gesv, _gecon, _lange = get_lapack_funcs(
-    ("gesv", "gecon", "lange"), (np.empty((1, 1)),))
+_flapack = _load_flapack()
+_gesv, _gecon, _lange = _flapack.dgesv, _flapack.dgecon, _flapack.dlange
 
 
 # Prefix of the thread-count functions that numpy's and scipy's OpenBLAS
@@ -149,25 +167,35 @@ def _blas_thread_controls() -> tuple:
     return tuple(controls)
 
 
+# Set while this thread is inside a _one_blas_thread call.
+_blas_guard = threading.local()
+
+
 def _one_blas_thread(func):
     """Decorator: run func with every bundled OpenBLAS at one thread, and
     give each its previous count back on exit. Stage systems have a few
     dozen rows at most: threads buy nothing there, and on a busy machine
     they wait for each other several times longer than the work takes.
-    Re-entrant: a nested call finds one thread and changes nothing, as
-    does a process pinned by OPENBLAS_NUM_THREADS. The counts are
-    process-wide, so BLAS calls other threads make meanwhile run on one
-    thread too. Does nothing where no OpenBLAS control is found."""
+    Re-entrant: only a thread's outermost guarded call reads, sets and
+    restores the counts, so a campaign's per-trial classify pays no
+    ctypes calls; a process pinned by OPENBLAS_NUM_THREADS finds one
+    thread and changes nothing. The counts are process-wide, so BLAS
+    calls other threads make meanwhile run on one thread too. Does
+    nothing where no OpenBLAS control is found."""
 
     @functools.wraps(func)
     def guarded(*args, **kwargs):
+        if getattr(_blas_guard, "held", False):
+            return func(*args, **kwargs)
         changed = [(put, count) for get, put in _blas_thread_controls()
                    if (count := get()) != 1]
         for put, _ in changed:
             put(1)
+        _blas_guard.held = True
         try:
             return func(*args, **kwargs)
         finally:
+            _blas_guard.held = False
             for put, count in changed:
                 put(count)
 

@@ -350,28 +350,38 @@ def test_cli_subprocess_entry(tmp_path, fig1_files):
     assert proc.returncode == 2
 
 
-# Runs in a fresh interpreter, so no other test has imported scipy.optimize.
+# Runs in a fresh interpreter, so no other test has imported scipy.linalg or
+# scipy.optimize; argv[1] is a directory for the files `run` writes.
 _LAZY_OPTIMIZE = """
 import sys
+from pathlib import Path
 import lqgames as lq, lqgames.cli
 from lqgames.experiments import run_basin_grid, run_ensemble
 
-def optimize_loaded():
-    return sorted(m for m in sys.modules if m.startswith("scipy.optimize"))
+def loaded(*prefixes):
+    return sorted(m for m in sys.modules if m.startswith(prefixes))
 
+HEAVY = ("scipy.linalg", "scipy.optimize", "numpy.f2py", "numpy.testing")
+tmp = Path(sys.argv[1])
 fig1 = lq.GameSpec(5, [1, 1], [1, 1], [1, 2])
 assert lq.classify(fig1, lq.PTuple([1.0, 1.0])).verdict == "converged"
 run_basin_grid(fig1, axis_samples=3)
 run_ensemble([(1, 1, 2)], 3, 0)
-assert not optimize_loaded(), optimize_loaded()
+lq.write_game(fig1, tmp / "fig1.json")
+lq.write_ptuple(lq.PTuple([1.0, 1.0]), tmp / "terminal.json")
+assert lqgames.cli.main(["run", "--game", str(tmp / "fig1.json"),
+                         "--terminal", str(tmp / "terminal.json"),
+                         "--out", str(tmp / "run")]) == 0
+assert not loaded(*HEAVY), loaded(*HEAVY)
 lq.residual_descent_search(fig1, restarts=0)
-assert "scipy.optimize" in optimize_loaded()
+assert "scipy.optimize" in loaded("scipy.optimize")
+assert "scipy.linalg" in loaded("scipy.linalg")
 """
 
 
-def test_scipy_optimize_loads_only_for_descent():
-    proc = subprocess.run([sys.executable, "-c", _LAZY_OPTIMIZE],
-                          capture_output=True, text=True)
+def test_scipy_optimize_loads_only_for_descent(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", _LAZY_OPTIMIZE,
+                           str(tmp_path)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 

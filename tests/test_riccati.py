@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 
@@ -50,6 +51,51 @@ def test_solve_stage_gains_singular():
     p = lq.PTuple([-0.5, -0.5])
     with pytest.raises(lq.SingularStageSystem):
         lq.riccati_step(p, game)
+
+
+def test_stage_solve_wrappers_are_scipys():
+    from scipy.linalg import get_lapack_funcs
+
+    gesv, gecon, lange = get_lapack_funcs(("gesv", "gecon", "lange"),
+                                          (np.empty((1, 1)),))
+    rng = np.random.default_rng(3)
+    systems = [(rng.standard_normal((k, k)), rng.standard_normal((k, k + 1)))
+               for k in range(1, 10)]
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+    near = np.array([[0.5, -0.5], [-0.5 + 1e-14, 0.5 + 1e-14]])
+    systems += [(singular, np.ones((2, 1))), (near, np.ones((2, 1)))]
+    infos = []
+    for M, rhs in systems:
+        ours = riccati._gesv(M.copy(), rhs.copy())
+        theirs = gesv(M.copy(), rhs.copy())
+        for a, b in zip(ours, theirs):
+            assert np.asarray(a).dtype == np.asarray(b).dtype
+            assert np.array_equal(a, b, equal_nan=True)
+        infos.append(ours[3])
+        anorm = riccati._lange("1", M)
+        assert anorm == lange("1", M)
+        assert np.array_equal(riccati._gecon(ours[0], anorm, "1"),
+                              gecon(theirs[0], anorm, "1"), equal_nan=True)
+    assert infos[-2] > 0 and infos[-1] == 0 and not any(infos[:-2])
+
+    # This game's stage matrix at (p1, p2) is [[1 + p1, p1], [p2, 1 + p2]],
+    # which is `near` at the values below.
+    game = lq.GameSpec(1, [1, 1], [1, 1], [1, 1])
+    rcond = float(gecon(gesv(near, np.ones((2, 1)))[0], lange("1", near),
+                        "1")[0])
+    assert 0.0 < rcond < riccati.SINGULARITY_RCOND
+    with pytest.raises(lq.SingularStageSystem) as err:
+        lq.riccati_step(lq.PTuple([-0.5, -0.5 + 1e-14]), game)
+    assert err.value.rcond == rcond
+
+
+def test_missing_flapack_names_the_directory(monkeypatch, tmp_path):
+    fake = type(sys)("scipy")
+    fake.__file__ = str(tmp_path / "scipy" / "__init__.py")
+    monkeypatch.setattr(riccati, "scipy", fake)
+    where = re.escape(str(tmp_path / "scipy" / "linalg"))
+    with pytest.raises(ImportError, match=where):
+        riccati._load_flapack()
 
 
 # ---------------------------------------------------------------------------
@@ -473,3 +519,60 @@ def test_library_runs_blas_on_one_thread_and_restores_counts(monkeypatch,
         for (_, put), count in zip(controls, before):
             put(count)
     assert seen and all(c == [1] * len(controls) for c in seen)
+
+
+def test_nested_guards_read_the_counts_once(monkeypatch):
+    counts, reads, writes = [4, 3], [0, 0], []
+
+    def control(i):
+        def get():
+            reads[i] += 1
+            return counts[i]
+
+        def put(count):
+            writes.append((i, count))
+            counts[i] = count
+
+        return get, put
+
+    controls = (control(0), control(1))
+    monkeypatch.setattr(riccati, "_blas_thread_controls", lambda: controls)
+    seen = []
+    original = riccati.riccati_step
+
+    def recording(*args, **kwargs):
+        seen.append(list(counts))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(riccati, "riccati_step", recording)
+    trials = 5
+    report = lq.run_ensemble([(1, 1, 2)], trials, 0,
+                             lq.ClassifyOptions(horizon=50))
+    assert sum(report.cells[(1, 1, 2)].counts.values()) == trials
+    # One read per count for the campaign, none for its T classifications.
+    assert reads == [1, 1]
+    assert writes == [(0, 1), (1, 1), (0, 4), (1, 3)]
+    assert counts == [4, 3]
+    assert seen and all(c == [1, 1] for c in seen)
+
+    # A guarded call that raises still restores, and releases the guard.
+    @riccati._one_blas_thread
+    def fail():
+        raise RuntimeError("inside")
+
+    with pytest.raises(RuntimeError):
+        fail()
+    assert counts == [4, 3] and reads == [2, 2]
+
+    # The guard is per thread: another thread's outermost call reads.
+    inner = []
+
+    @riccati._one_blas_thread
+    def outer():
+        worker = threading.Thread(target=riccati._one_blas_thread(
+            lambda: inner.append(list(reads))))
+        worker.start()
+        worker.join()
+
+    outer()
+    assert inner == [[4, 4]] and counts == [4, 3]
