@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import (GainTuple, GameSpec, PTuple, stack_distances,
-                    validate_terminal)
+                    stack_stacks, validate_terminal)
 from .riccati import (CONV_WINDOW, ConvergenceStop, NoConvergence,
                       RecursionTrace, SingularStageSystem, _one_blas_thread,
                       best_response_dare, closed_loop, periodic_best_response,
@@ -173,7 +173,7 @@ def _minimal_period(states, tol: float, max_period: int, window: int) -> int | N
     top = min(max_period, (S + 1) // (window + 1))
     if top < 1:
         return None
-    earlier = np.stack([states[S - L].stack for L in range(1, top + 1)])
+    earlier = stack_stacks([states[S - L].stack for L in range(1, top + 1)])
     first = stack_distances(earlier, states[S].stack).max(axis=-1)
     for L in (np.flatnonzero(first < tol) + 1).tolist():
         if all(states[s].distance(states[s + L]) < tol

@@ -17,7 +17,7 @@ import numpy as np
 from .analysis import VERDICTS, Classification, CycleCertificate
 from .equilibria import EquilibriumSet
 from .experiments import BasinMap, CycleCensus, EnsembleReport
-from .model import GameSpec, PTuple, stack_norms
+from .model import GameSpec, PTuple, stack_norms, stack_stacks
 from .riccati import RecursionTrace, TerminationRecord
 
 
@@ -90,26 +90,46 @@ def _open_csv(path, provenance: dict | None):
     return fh
 
 
-def _text(values: np.ndarray, dtype=np.float64) -> np.ndarray:
-    """repr of every entry of values taken as dtype (float64, or int64 for
-    whole numbers), as an object array of its shape.
+class _Text:
+    """repr of every entry of an array taken as dtype (float64, or int64
+    for whole numbers), as an object array of its shape, for a table
+    formatted a chunk at a time.
 
     repr runs once per distinct bit pattern: keys are bits, never float
     values, because -0.0 == 0.0 prints differently and NaN never compares
-    equal. Long traces repeat their settled floats, so this is far fewer
-    calls than one per entry.
+    equal. Each call keeps its chunk's sorted patterns and their strings;
+    the next call looks its own patterns up in them with searchsorted and
+    formats only the misses. Long traces repeat their settled floats from
+    chunk to chunk, so this is far fewer calls than one per entry, and
+    only two chunks' strings are held at a time.
     """
-    values = np.ascontiguousarray(values, dtype=dtype)
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = np.array(list(map(repr, bits.view(dtype).tolist())), dtype=object)
-    return text[inverse].reshape(values.shape)
+
+    def __init__(self, dtype=np.float64):
+        self.dtype = dtype
+        self.bits = np.empty(0, dtype=np.int64)
+        self.text = np.empty(0, dtype=object)
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        values = np.ascontiguousarray(values, dtype=self.dtype)
+        bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+        text = np.empty(len(bits), dtype=object)
+        miss = np.ones(len(bits), dtype=bool)
+        if len(self.bits):
+            at = np.searchsorted(self.bits, bits).clip(max=len(self.bits) - 1)
+            hit = self.bits[at] == bits
+            text[hit] = self.text[at[hit]]
+            miss = ~hit
+        text[miss] = list(map(repr, bits[miss].view(self.dtype).tolist()))
+        self.bits, self.text = bits, text
+        return text[inverse].reshape(values.shape)
 
 
 def _write_rows(fh, rows) -> None:
     """Rows of str cells as comma-separated lines ending in \\r\\n: what
     csv.writer writes for cells that need no quoting, as no header name,
-    integer or float repr here does."""
-    fh.write("".join([",".join(row) + "\r\n" for row in rows]))
+    integer or float repr here does. Lines go to the file's buffer one at
+    a time, so a chunk's text is never held whole."""
+    fh.writelines(",".join(row) + "\r\n" for row in rows)
 
 
 def _write_table(path, provenance, header, rows) -> None:
@@ -130,22 +150,24 @@ def write_trace_csv(trace: RecursionTrace, path, provenance=None) -> None:
     rows = gains[0].rows if gains else ()
     m_max = max((r.stop - r.start for r in rows), default=0)
     k0 = 2 + n * n
+    p_text, k_text = _Text(), _Text()
     with _open_csv(path, provenance) as fh:
         _write_rows(fh, [["step", "agent"]
                          + [f"p_{r}_{c}" for r in range(n) for c in range(n)]
                          + [f"k_{r}_{c}" for r in range(m_max)
                             for c in range(n)]])
         for start in range(0, len(states), CHUNK_ROWS):
-            P = np.stack([p.stack for p in states[start:start + CHUNK_ROWS]])
+            P = stack_stacks([p.stack
+                              for p in states[start:start + CHUNK_ROWS]])
             K = [k.stack for k in gains[start:start + CHUNK_ROWS]]
             S = len(P)
             step = trace.first_step + start
             cells = np.full((S, N, k0 + m_max * n), "", dtype=object)
             cells[:, :, 0] = np.arange(step, step + S).astype(str)[:, None]
             cells[:, :, 1] = np.arange(N).astype(str)
-            cells[:, :, 2:k0] = _text(P).reshape(S, N, n * n)
+            cells[:, :, 2:k0] = p_text(P).reshape(S, N, n * n)
             if K:
-                text = _text(np.stack(K))
+                text = k_text(stack_stacks(K))
                 for i, r in enumerate(rows):
                     cells[:len(K), i, k0:k0 + (r.stop - r.start) * n] = \
                         text[:, r].reshape(len(K), -1)
@@ -277,6 +299,7 @@ def write_trajectory_csv(traj, path, provenance=None) -> None:
     for i, u in enumerate(traj.inputs):
         header += [f"u{i}_{j}" for j in range(u.shape[1])]
     inputs = np.hstack(traj.inputs)
+    x_text, u_text = _Text(), _Text()
     with _open_csv(path, provenance) as fh:
         _write_rows(fh, [header])
         for t in range(0, traj.horizon + 1, CHUNK_ROWS):
@@ -284,21 +307,22 @@ def write_trajectory_csv(traj, path, provenance=None) -> None:
             u = inputs[t:t + CHUNK_ROWS]
             cells = np.full((len(x), len(header)), "", dtype=object)
             cells[:, 0] = np.arange(t, t + len(x)).astype(str)
-            cells[:, 1:1 + n] = _text(x)
-            cells[:len(u), 1 + n:] = _text(u)
+            cells[:, 1:1 + n] = x_text(x)
+            cells[:len(u), 1 + n:] = u_text(u)
             _write_rows(fh, cells.tolist())
 
 
 def write_series_csv(series, header, path, provenance=None) -> None:
     """One row per row of an (R, c) series: its c - 1 leading columns as
     integers, then its value as repr, SERIES_CHUNK_ROWS rows at a time."""
+    index_text, value_text = _Text(np.int64), _Text()
     with _open_csv(path, provenance) as fh:
         _write_rows(fh, [header])
         for start in range(0, len(series), SERIES_CHUNK_ROWS):
             chunk = series[start:start + SERIES_CHUNK_ROWS]
             cells = np.empty(chunk.shape, dtype=object)
-            cells[:, :-1] = _text(chunk[:, :-1], np.int64)
-            cells[:, -1] = _text(chunk[:, -1])
+            cells[:, :-1] = index_text(chunk[:, :-1])
+            cells[:, -1] = value_text(chunk[:, -1])
             _write_rows(fh, cells.tolist())
 
 
@@ -314,7 +338,7 @@ def trace_gain_series(trace: RecursionTrace) -> np.ndarray:
     gain stacks, whose rows run agent by agent."""
     if not trace.gains:
         return np.empty((0, 5))
-    K = np.stack([k.stack for k in trace.gains])
+    K = stack_stacks([k.stack for k in trace.gains])
     widths = [r.stop - r.start for r in trace.gains[0].rows]
     agent = np.repeat(np.arange(len(widths)), widths)
     row = np.concatenate([np.arange(m) for m in widths])
@@ -326,14 +350,14 @@ def trace_value_series(trace: RecursionTrace, game: GameSpec):
     """Per-step Frobenius distance to the first stored state, as (step,
     agent, distance) rows, and closed-loop spectral radius, as (step,
     radius) rows, read from the stacks."""
-    P = np.stack([p.stack for p in trace.p_states])
+    P = stack_stacks([p.stack for p in trace.p_states])
     S, N, n, _ = P.shape
     norms = stack_norms((P - P[0]).reshape(-1, n, n)).reshape(S, N)
     steps = trace.first_step + np.arange(S)
     diffs = _series(steps[:, None], np.arange(N), norms)
     if not trace.gains:
         return diffs, np.empty((0, 2))
-    K = np.stack([k.stack for k in trace.gains])
+    K = stack_stacks([k.stack for k in trace.gains])
     Acl = np.repeat(game.A[None], len(K), axis=0)
     for Bj, rows in zip(game.B, trace.gains[0].rows):
         Acl -= Bj @ K[:, rows]

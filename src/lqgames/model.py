@@ -88,6 +88,13 @@ def stack_norms(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(flat, flat))
 
 
+def stack_stacks(stacks) -> np.ndarray:
+    """np.stack of a non-empty sequence of equal-shaped arrays, built as
+    one concatenate and a reshape: the same C-ordered array, without
+    np.stack's per-array view and shape check."""
+    return np.concatenate(stacks).reshape((len(stacks),) + stacks[0].shape)
+
+
 def stack_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Relative Frobenius distance ||a^i - b^i||_F / (1 + ||a^i||_F) of
     every matrix in a (..., N, n, n) C-ordered stack a from its match in

@@ -386,6 +386,14 @@ class ConvergenceStop:
         return self._run >= CONV_WINDOW
 
 
+def _relative_change(P: np.ndarray, P_new: np.ndarray, norms: list) -> float:
+    """Largest agent change ||P^i - P_new^i||_F / (1 + norms[i]) of one
+    step, norms[i] being ||P^i||_F as a Python float."""
+    diff = (P - P_new).reshape(len(P), -1)
+    return max([math.sqrt(d) / (1.0 + a)
+                for d, a in zip(np.vecdot(diff, diff).tolist(), norms)])
+
+
 def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
                   stop: ConvergenceStop | None = None) -> RecursionTrace:
     """Iterate the backward map from a terminal value tuple.
@@ -406,8 +414,10 @@ def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
     # Agent norms of the current state: the next step's distance
     # denominators, computed once per state. Only the stacks are read, so
     # no per-agent entries are built here. Each step takes its squared
-    # norms in two vecdot calls (stack_norms' dot products) and finishes
+    # norms in one vecdot call (stack_norms' dot products) and finishes
     # them in Python floats, which round sqrt and division as numpy does.
+    # The relative change costs a second vecdot, taken every step only
+    # when a stop rule reads it; without one, it is taken once at the end.
     P = p.stack
     rows = (len(P), -1)
     norms = stack_norms(P).tolist()
@@ -424,10 +434,10 @@ def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
             rcond = err.rcond
             break
         P_new = p_new.stack
-        flat, diff = P_new.reshape(rows), (P - P_new).reshape(rows)
+        flat = P_new.reshape(rows)
         new_norms = [math.sqrt(q) for q in np.vecdot(flat, flat).tolist()]
-        rel = max([math.sqrt(d) / (1.0 + a) for d, a
-                   in zip(np.vecdot(diff, diff).tolist(), norms)])
+        if stop is not None:
+            rel = _relative_change(P, P_new, norms)
         states.append(p_new)
         gains.append(k)
         steps = s + 1
@@ -441,6 +451,9 @@ def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
         if stop is not None and stop(steps, rel):
             reason = "converged"
             break
+    if stop is None and steps:
+        before = states[-2].stack
+        rel = _relative_change(before, P, stack_norms(before).tolist())
 
     record = TerminationRecord(
         reason=reason, steps=steps,

@@ -11,11 +11,14 @@ gives it (bit for bit for scalar games) with an exactly singular member
 left non-finite on its own, the gains solve the stacked stage system to
 a small residual and every agent's value equals the explicit update
 form, classify gives every valid game and terminal a verdict without
-raising, run_recursion's residual and sup norm and _minimal_period's
+raising, run_recursion's residual and sup norm (with a stop rule or
+without one, fully stored or in a ring buffer) and _minimal_period's
 period are those of the plain np.linalg.norm formulas and pair-by-pair
 scan, and a full-horizon trace's values are the costs of playing its
 gains (the dynamic-programming identity).
 """
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ import lqgames as lq
 from lqgames.analysis import (CYCLE_TOL, CYCLE_WINDOW, MAX_PERIOD,
                               _minimal_period)
 from lqgames.experiments import VERDICTS, random_game, random_terminal
-from lqgames.riccati import _stage_map_batch
+from lqgames.riccati import FULL_STORAGE_LIMIT, _stage_map_batch
 from lqgames.simulate import finite_horizon_cost, simulate
 
 CELLS = [(1, 1, 2), (2, 1, 3), (3, 3, 2)]
@@ -256,10 +259,12 @@ def _rel(a, b) -> float:
     return float(np.linalg.norm(a - b) / (1.0 + np.linalg.norm(a)))
 
 
-def _check_recursion_norms(trace):
+def _check_recursion_norms(trace, visited=None):
     """The termination record's residual and sup norm, recomputed with
-    np.linalg.norm over the whole (fully stored) trace."""
-    states = [p.stack for p in trace.p_states]
+    np.linalg.norm over every state of the run: the fully stored trace,
+    or visited, the states of a run whose trace keeps a ring buffer."""
+    states = [p.stack for p in (trace.p_states if visited is None
+                                else visited)]
     term = trace.terminated
     assert len(states) == term.steps + 1
     assert term.sup_norm == max(float(np.linalg.norm(m))
@@ -271,12 +276,58 @@ def _check_recursion_norms(trace):
             _rel(a, b) for a, b in zip(states[-2], states[-1]))
 
 
+def _bits(x):
+    return np.float64(x).tobytes() if isinstance(x, float) else x
+
+
+def _assert_same_record(a, b):
+    """Termination records equal field by field, floats bit for bit."""
+    for f in fields(lq.TerminationRecord):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert type(x) is type(y), f.name
+        assert _bits(x) == _bits(y), f.name
+
+
+def _check_no_stop_record(game, terminal, horizon, trace):
+    """A run without a stop rule (trace) records what the rule that reads
+    every step's change and never fires, tol 0, records."""
+    never = lq.run_recursion(game, terminal, horizon,
+                             stop=lq.ConvergenceStop(tol=0.0))
+    _assert_same_record(trace.terminated, never.terminated)
+
+
 @PROPERTY
-@given(st.one_of(games(), mixed_games()), st.integers(1, 200))
+@given(st.one_of(games(), mixed_games()), st.integers(0, 200))
 def test_recursion_norms_match_numpy(case, horizon):
+    # Both kinds of run: a stop rule reads the change of every step, and
+    # without one only the last step's change is taken.
     game, terminal = case
     _check_recursion_norms(lq.run_recursion(game, terminal, horizon,
                                             stop=lq.ConvergenceStop()))
+    trace = lq.run_recursion(game, terminal, horizon)
+    _check_recursion_norms(trace)
+    _check_no_stop_record(game, terminal, horizon, trace)
+
+
+@pytest.mark.parametrize("stop", [None, lq.ConvergenceStop],
+                         ids=["no-stop", "convergence-stop"])
+def test_recursion_norms_match_numpy_with_a_ring_buffer(stop, found_cycle):
+    # A cycle never converges, so both runs take every step and keep only
+    # the trailing ring of states.
+    game, terminal, _ = found_cycle
+    horizon = FULL_STORAGE_LIMIT + 3
+    trace = lq.run_recursion(game, terminal, horizon, stop=stop and stop())
+    assert trace.terminated.reason == "completed"
+    assert trace.first_step > 0
+    visited = [terminal]
+    for _ in range(horizon):
+        visited.append(lq.riccati_step(visited[-1], game)[0])
+    assert _same([p.stack for p in trace.p_states],
+                 [p.stack for p in visited[trace.first_step:]])
+    assert trace.terminated.final_residual > 0.0
+    _check_recursion_norms(trace, visited)
+    if stop is None:
+        _check_no_stop_record(game, terminal, horizon, trace)
 
 
 @pytest.mark.parametrize("game, terminal, reason", [
@@ -291,6 +342,7 @@ def test_recursion_norms_match_numpy_on_early_stops(game, terminal, reason):
     assert trace.terminated.reason == reason
     assert trace.terminated.steps >= 1
     _check_recursion_norms(trace)
+    _check_no_stop_record(game, lq.PTuple(terminal), 1_000, trace)
 
 
 def reference_period(states, tol, max_period, window):

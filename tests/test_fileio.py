@@ -9,6 +9,7 @@ import lqgames as lq
 from lqgames import fileio
 from lqgames.experiments import VERDICTS, _rng_for, random_game
 from lqgames.riccati import FULL_STORAGE_LIMIT
+from lqgames.simulate import Trajectory
 from test_contracts import games, mixed_games
 
 
@@ -218,6 +219,61 @@ def test_trajectory_csv_matches_oracle(tmp_path, seed):
     _oracle_trajectory_csv(traj, tmp_path / "oracle.csv", prov)
     assert (tmp_path / "traj.csv").read_bytes() \
         == (tmp_path / "oracle.csv").read_bytes()
+
+
+# Floats whose bits differ where their values compare equal (0.0, -0.0)
+# or never compare (NaN payloads), one group per chunk, each meeting the
+# strings carried from the chunk before; REPEATED recurs in all three.
+NAN2 = np.array([0xFFF8000000000001], dtype=np.uint64).view(np.float64)[0]
+CROSS_CHUNK = ([0.0, np.nan, np.inf], [-0.0, NAN2, -np.inf],
+               [0.0, np.nan, np.inf])
+REPEATED = 0.25
+
+
+def _across_chunks(a, chunk):
+    """Fill a, shaped (rows, ...), with floats in [0.5, 1.5), then write
+    each CROSS_CHUNK group and REPEATED, in row-major order, from the
+    start of rows 0, chunk + 1 and 2 * chunk + 1."""
+    a[...] = np.random.default_rng(a.size).uniform(0.5, 1.5, a.shape)
+    flat = a.reshape(-1)
+    width = flat.size // len(a)
+    for row, group in zip((0, chunk + 1, 2 * chunk + 1), CROSS_CHUNK):
+        flat[row * width:row * width + 4] = [*group, REPEATED]
+    return a
+
+
+def test_long_tables_key_floats_by_bits_across_chunks(tmp_path):
+    chunk, rows = fileio.CHUNK_ROWS, (slice(0, 2), slice(2, 3))
+    S = 2 * chunk + 3                   # a third chunk holds three states
+    P = _across_chunks(np.empty((S, 2, 2, 2)), chunk)
+    K = _across_chunks(np.empty((S - 1, 3, 2)), chunk)
+    trace = lq.RecursionTrace(
+        [lq.PTuple._trusted(p.copy()) for p in P],
+        [lq.GainTuple._trusted(k.copy(), rows) for k in K],
+        lq.TerminationRecord("completed", S - 1, 0.0), 3)
+    (tmp_path / "trace").mkdir()
+    _assert_trace_bytes(trace, tmp_path / "trace")
+    text = (tmp_path / "trace" / "trace.csv").read_text()
+    assert "-0.0" in text and ",0.0," in text and "-inf" in text
+
+    U = _across_chunks(np.empty((S - 1, 4)), chunk)
+    traj = Trajectory(_across_chunks(np.empty((S, 4)), chunk),
+                      (U[:, :3], U[:, 3:]))
+    fileio.write_trajectory_csv(traj, tmp_path / "traj.csv")
+    _oracle_trajectory_csv(traj, tmp_path / "oracle.csv")
+    assert (tmp_path / "traj.csv").read_bytes() \
+        == (tmp_path / "oracle.csv").read_bytes()
+
+    # A plot series: agent indices recur in every chunk as well.
+    R = 2 * fileio.SERIES_CHUNK_ROWS + 5
+    series = np.column_stack([np.arange(R) % 2, _across_chunks(
+        np.empty(R), fileio.SERIES_CHUNK_ROWS)])
+    fileio.write_series_csv(series, ["agent", "value"],
+                            tmp_path / "series.csv")
+    _oracle_csv(tmp_path / "series-oracle.csv", None, ["agent", "value"],
+                [[int(i), repr(float(v))] for i, v in series])
+    assert (tmp_path / "series.csv").read_bytes() \
+        == (tmp_path / "series-oracle.csv").read_bytes()
 
 
 def _oracle_trace_figures(trace, game, out_dir, provenance=None):
