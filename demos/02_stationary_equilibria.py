@@ -26,7 +26,7 @@ for idx, pt in enumerate(eqs):
     print(f"\nequilibrium {idx}: P = ({p1:.6f}, {p2:.6f})")
     print(f"  gains K = ({k1:.6f}, {k2:.6f})")
     print(f"  rho(closed loop) = {v.closed_loop_spectral_radius:.6f}")
-    print(f"  best-response gaps = "
+    print(f"  best-response value residuals = "
           f"{[f'{g:.1e}' for g in v.best_response_gaps]}")
 
 print("\nterminal-cost selection: start the 50-step recursion on each")

@@ -7,23 +7,27 @@ stage. This module detects and certifies the first two and classifies the
 rest.
 
 A period-L orbit P_1, ..., P_L (P_l = f(P_{l+1}) cyclically, f the backward
-map) is certified on four counts:
+map) is certified on four counts, for any L >= 1; a stationary equilibrium
+is the L = 1 case:
 
-* orbit residual: each phase reproduces its predecessor through f;
+* orbit residual: each phase reproduces its predecessor through f (at
+  L = 1 the fixed-point residual);
 * period product: Theta_L = Acl_L @ ... @ Acl_1 has spectral radius < 1,
   so the gain cycle stabilizes the system over one period even when
-  individual phases are unstable;
+  individual phases are unstable (at L = 1, rho(Acl) < 1);
 * loop identity: unrolling the one-step value update around the loop
   returns the starting phase,
   P_1^i = sum_l Theta_{l-1}' (Q^i + K_l^i' R^i K_l^i) Theta_{l-1}
           + Theta_L' P_1^i Theta_L;
 * periodic best response: for each agent, solving its periodic Riccati
   recursion against the others' frozen gain cycle reproduces the phases,
-  so no agent can improve unilaterally.
+  so no agent can improve unilaterally (at L = 1, the DARE).
 
 Here K_l is the gain tuple produced by the stage solve at P_{l+1} (the one
 applied while the orbit moves from P_{l+1} to P_l) and Acl_l the matching
-closed loop.
+closed loop. The best responses run only once the orbit residual and the
+period product pass: a stable Theta_L makes every (A - sum_{j != i}
+B^j K_l^j, B^i) periodically stabilizable, so each one settles.
 """
 
 from dataclasses import dataclass, field
@@ -34,8 +38,8 @@ from .model import (GainTuple, GameSpec, PTuple, stack_distances,
                     stack_stacks, validate_terminal)
 from .riccati import (CONV_WINDOW, ConvergenceStop, NoConvergence,
                       RecursionTrace, SingularStageSystem, _one_blas_thread,
-                      best_response_dare, closed_loop, periodic_best_response,
-                      riccati_step, run_recursion)
+                      closed_loop, periodic_best_response, riccati_step,
+                      run_recursion)
 
 VERDICT_CONVERGED = "converged"
 VERDICT_CYCLE = "cycle"
@@ -50,17 +54,15 @@ VERDICTS = (VERDICT_CONVERGED, VERDICT_CYCLE, VERDICT_BOUNDED,
 CYCLE_TOL = 1e-8
 CYCLE_WINDOW = 3
 MAX_PERIOD = 100
-# Certificate tolerances: orbit residual, loop identity, periodic best
-# responses (all relative).
+# Certificate tolerances, stationary or periodic: orbit residual, loop
+# identity, best responses (all relative).
 CERT_TOL = 1e-8
 LOOP_TOL = 1e-6
 BR_TOL = 1e-6
-# Stationary Nash check: fixed-point residual and best-response gain gaps.
-NASH_TOL = 1e-8
 
 
 class CertificationFailed(RuntimeError):
-    """One or more cycle-certificate checks exceeded tolerance."""
+    """One or more certificate checks failed."""
 
     def __init__(self, failures: list[str]):
         self.failures = failures
@@ -118,15 +120,18 @@ class ClassifyOptions:
 
 @dataclass
 class NashVerification:
-    """Stationary-equilibrium check: stable closed loop plus per-agent
-    best-response gain gaps below tolerance. gains is the stage-gain
-    tuple at the checked point."""
+    """Stationary-equilibrium check: the period-one certificate.
+    precondition_ok is the fixed-point residual below CERT_TOL, and
+    closed_loop_spectral_radius is rho(Acl), measured even when it fails.
+    best_response_gaps holds each agent's relative value residual, empty
+    unless the residual and rho(Acl) < 1 pass. gains is the stage-gain
+    tuple at the point; a singular stage leaves it None, the rest NaN."""
 
     ok: bool
     precondition_ok: bool
-    fixed_point_residual: float
-    closed_loop_spectral_radius: float
-    gains: GainTuple
+    fixed_point_residual: float = float("nan")
+    closed_loop_spectral_radius: float = float("nan")
+    gains: GainTuple | None = None
     best_response_gaps: list[float] = field(default_factory=list)
 
 
@@ -188,9 +193,8 @@ def detect_cycle(trace: RecursionTrace, game: GameSpec) -> CycleCertificate | No
     Scans periods L = 1..MAX_PERIOD for the smallest one where the last
     CYCLE_WINDOW * L steps repeat at relative tolerance CYCLE_TOL. A
     period-1 match is convergence, not a cycle, and yields None. For L >= 2
-    the trailing phases are re-verified through verify_cycle (re-running
-    the map around the loop, period-product spectral radius, loop identity,
-    periodic best responses); a failed certificate also yields None.
+    the trailing phases are certified by verify_cycle; a failed
+    certificate also yields None.
     """
     states = trace.p_states
     L = _minimal_period(states, CYCLE_TOL, MAX_PERIOD, CYCLE_WINDOW)
@@ -201,26 +205,21 @@ def detect_cycle(trace: RecursionTrace, game: GameSpec) -> CycleCertificate | No
     phases = [states[S - j] for j in range(L)]
     try:
         return verify_cycle(phases, game)
-    except (CertificationFailed, SingularStageSystem):
+    except CertificationFailed:
         return None
 
 
-def verify_cycle(phases, game: GameSpec) -> CycleCertificate:
-    """Certify a phase sequence as a periodic equilibrium.
-
-    phases must be in loop order: phase l is the image of phase l+1 under
-    the backward map (cyclically). Non-minimal periods are accepted - a
-    fixed point replicated L times certifies for every L. Checks, in
-    order: (a) orbit residual of each phase against the map image of its
-    successor (below CERT_TOL); (b) period-product spectral radius below
-    one; (c) loop identity residual for every agent (below LOOP_TOL); (d)
-    periodic best-response residual for every agent (below BR_TOL). Raises
-    CertificationFailed listing every check that exceeded its tolerance.
-    """
+def _check_cycle(phases, game: GameSpec,
+                 ) -> tuple[CycleCertificate | None, list[float], list[str]]:
+    """verify_cycle's checks on L >= 1 phases, reported, never raised, as
+    (cert, br_residuals, failures). cert holds the measurements, passing
+    or not, or is None when a stage in the loop is singular; br_residuals
+    holds each agent's best-response residual once they all ran (else
+    cert.periodic_br_residual is NaN); failures names each failed check."""
     phases = [p if isinstance(p, PTuple) else PTuple(p) for p in phases]
     L = len(phases)
-    if L < 2:
-        raise ValueError("a cycle needs at least two phases")
+    if L < 1:
+        raise ValueError("a cycle needs at least one phase")
     N = game.num_agents
 
     # (a) Re-run the map around the loop; the step at phases[(l+1) % L]
@@ -228,8 +227,10 @@ def verify_cycle(phases, game: GameSpec) -> CycleCertificate:
     gains: list[GainTuple] = []
     residual = 0.0
     for l in range(L):
-        source = phases[(l + 1) % L]
-        image, k = riccati_step(source, game)
+        try:
+            image, k = riccati_step(phases[(l + 1) % L], game)
+        except SingularStageSystem as err:
+            return None, [], [str(err)]
         gains.append(k)
         residual = max(residual, phases[l].distance(image))
 
@@ -255,22 +256,6 @@ def verify_cycle(phases, game: GameSpec) -> CycleCertificate:
             float(np.linalg.norm(phases[0][i] - acc)
                   / (1.0 + np.linalg.norm(phases[0][i]))))
 
-    # (d) Each agent's periodic best response against the others' frozen
-    # gain cycle must reproduce its own phases.
-    br_residual = 0.0
-    br_failure = None
-    for i in range(N):
-        try:
-            solved, _ = periodic_best_response(game, i, gains)
-        except (NoConvergence, SingularStageSystem) as err:
-            br_failure = str(err)
-            break
-        for l in range(L):
-            br_residual = max(
-                br_residual,
-                float(np.linalg.norm(solved[l] - phases[l][i])
-                      / (1.0 + np.linalg.norm(phases[l][i]))))
-
     failures = []
     if not residual < CERT_TOL:
         failures.append(f"orbit residual {residual:.3e} >= {CERT_TOL:.1e}")
@@ -278,12 +263,26 @@ def verify_cycle(phases, game: GameSpec) -> CycleCertificate:
         failures.append(f"period product spectral radius {rho_product:.6f} >= 1")
     if not loop_residual < LOOP_TOL:
         failures.append(f"loop identity residual {loop_residual:.3e} >= {LOOP_TOL:.1e}")
-    if br_failure is not None:
-        failures.append(br_failure)
-    elif not br_residual < BR_TOL:
-        failures.append(f"periodic best-response residual {br_residual:.3e} >= {BR_TOL:.1e}")
-    if failures:
-        raise CertificationFailed(failures)
+
+    # (d) Each agent's periodic best response against the others' frozen
+    # gain cycle must reproduce its own phases.
+    br: list[float] = []
+    br_residual = float("nan")
+    if residual < CERT_TOL and rho_product < 1.0:
+        for i in range(N):
+            try:
+                solved, _ = periodic_best_response(game, i, gains)
+            except (NoConvergence, SingularStageSystem) as err:
+                failures.append(str(err))
+                break
+            br.append(max(float(np.linalg.norm(solved[l] - phases[l][i])
+                                / (1.0 + np.linalg.norm(phases[l][i])))
+                          for l in range(L)))
+        else:
+            br_residual = max(br)
+            if not br_residual < BR_TOL:
+                failures.append(f"periodic best-response residual "
+                                f"{br_residual:.3e} >= {BR_TOL:.1e}")
 
     return CycleCertificate(
         period=L,
@@ -294,7 +293,26 @@ def verify_cycle(phases, game: GameSpec) -> CycleCertificate:
         loop_identity_residual=loop_residual,
         periodic_br_residual=br_residual,
         phase_spectral_radii=phase_rho,
-    )
+    ), br, failures
+
+
+def verify_cycle(phases, game: GameSpec) -> CycleCertificate:
+    """Certify a phase sequence as a periodic equilibrium.
+
+    phases must be in loop order: phase l is the image of phase l+1 under
+    the backward map (cyclically). One phase is a stationary equilibrium,
+    and non-minimal periods are accepted - a fixed point replicated L times
+    certifies for every L. Checks the module docstring's four counts in
+    order: orbit residual below CERT_TOL, period product below one, loop
+    identity below LOOP_TOL, and, once the first two pass, every agent's
+    best-response residual below BR_TOL. Raises CertificationFailed
+    listing every failed check, a singular stage among them, and
+    ValueError for no phase.
+    """
+    cert, _, failures = _check_cycle(phases, game)
+    if failures:
+        raise CertificationFailed(failures)
+    return cert
 
 
 @_one_blas_thread
@@ -339,27 +357,13 @@ def classify(game: GameSpec, terminal: PTuple,
 
 
 def nash_verify_stationary(p: PTuple, game: GameSpec) -> NashVerification:
-    """Verify a fixed point as a stationary Nash equilibrium.
-
-    Requires the fixed-point residual below NASH_TOL (violations are
-    reported, not raised), a strictly stable joint closed loop, and every
-    agent's independent best-response gain within NASH_TOL of its stage
-    gain.
-    """
-    image, gains = riccati_step(p, game)
-    residual = p.distance(image)
-    if not residual < NASH_TOL:
-        return NashVerification(
-            ok=False, precondition_ok=False, fixed_point_residual=residual,
-            closed_loop_spectral_radius=float("nan"), gains=gains)
-
-    rho = spectral_radius(closed_loop(game, gains))
-    gaps = []
-    for i in range(game.num_agents):
-        _, Ki = best_response_dare(game, i, gains)
-        gaps.append(float(np.linalg.norm(Ki - gains[i])))
-    ok = rho < 1.0 and all(g < NASH_TOL for g in gaps)
+    """Verify a fixed point as a stationary Nash equilibrium: verify_cycle
+    at L = 1, reported rather than raised (see NashVerification)."""
+    cert, gaps, failures = _check_cycle([p], game)
+    if cert is None:
+        return NashVerification(ok=False, precondition_ok=False)
     return NashVerification(
-        ok=ok, precondition_ok=True, fixed_point_residual=residual,
-        closed_loop_spectral_radius=rho, gains=gains,
-        best_response_gaps=gaps)
+        ok=not failures, precondition_ok=cert.cycle_residual < CERT_TOL,
+        fixed_point_residual=cert.cycle_residual,
+        closed_loop_spectral_radius=cert.product_spectral_radius,
+        gains=cert.gains[0], best_response_gaps=gaps)

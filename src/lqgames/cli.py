@@ -212,14 +212,14 @@ def _load_terminal(config: RunConfig, game) -> PTuple:
 
 
 def _load_phases(config: RunConfig, game) -> list[PTuple]:
-    """Read the cycle phases; fewer than two phases, or a phase of the
-    wrong count or shape, or with non-finite entries, is a usage error.
-    Certification judges the rest."""
+    """Read the cycle phases; no phase at all, or a phase of the wrong
+    count or shape, or with non-finite entries, is a usage error.
+    Certification judges the rest; one phase is a stationary point."""
     path = config.params["phases"]
     phases = _read(path, fileio.read_phases, "phases")
-    if len(phases) < 2:
-        raise UsageError(f"phases file {path} holds {len(phases)} phase(s); "
-                         "a cycle needs at least two phases")
+    if not phases:
+        raise UsageError(f"phases file {path} holds no phase; "
+                         "a cycle needs at least one phase")
     for l, phase in enumerate(phases):
         report = validate_terminal(game, phase)
         failures = report.dimension_failures + report.finiteness_failures

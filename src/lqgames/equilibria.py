@@ -13,8 +13,9 @@ Two routes that avoid iterating the backward recursion:
   one-step backward map.
 
 Every returned point carries its stage gains and a full stationary Nash
-verification; fixed points whose closed loop is not strictly stable are
-discarded (they are not equilibria) but counted in the search metadata.
+verification, the period-one certificate of analysis.verify_cycle; fixed
+points whose closed loop is not strictly stable are discarded (they are
+not equilibria) but counted in the search metadata.
 """
 
 from dataclasses import dataclass, field
@@ -23,9 +24,8 @@ import numpy as np
 
 from .analysis import NashVerification, nash_verify_stationary
 from .model import GainTuple, GameSpec, PTuple
-from .riccati import (NoConvergence, NotStabilizable, SingularStageSystem,
-                      _one_blas_thread, _solve_each, _stage_map_batch,
-                      riccati_step)
+from .riccati import (SingularStageSystem, _one_blas_thread, _solve_each,
+                      _stage_map_batch, riccati_step)
 
 # Points closer than this (relative) are considered the same equilibrium.
 DEDUP_TOL = 1e-6
@@ -218,11 +218,7 @@ def scalar_two_agent_equilibria(game: GameSpec) -> EquilibriumSet:
     failed = 0
     for root in roots:
         p = PTuple([root[0], root[1]])
-        try:
-            report = nash_verify_stationary(p, game)
-        except SingularStageSystem:
-            failed += 1
-            continue
+        report = nash_verify_stationary(p, game)
         if report.ok:
             points.append(EquilibriumPoint(p, report.gains, report))
         elif report.precondition_ok and report.closed_loop_spectral_radius >= 1.0:
@@ -325,10 +321,7 @@ def residual_descent_search(game: GameSpec, inits=None, restarts: int = 20,
         if any(p.distance(s) < DEDUP_TOL for s in seen):
             continue
         seen.append(p)
-        try:
-            report = nash_verify_stationary(p, game)
-        except (SingularStageSystem, NotStabilizable, NoConvergence):
-            continue
+        report = nash_verify_stationary(p, game)
         if report.ok:
             points.append(EquilibriumPoint(p, report.gains, report))
             accepted += 1

@@ -144,13 +144,16 @@ def write_trace_csv(trace: RecursionTrace, path, provenance=None) -> None:
     """One row per (step, agent): row-major P entries then row-major K
     entries. Gain columns are padded to the widest agent and left empty on
     the final state (no step was taken from it). Only the value and gain
-    stacks are read, CHUNK_ROWS states at a time."""
+    stacks are read, CHUNK_ROWS states at a time, into one cell array."""
     states, gains = trace.p_states, trace.gains
     N, n = states[0].stack.shape[:2]
     rows = gains[0].rows if gains else ()
     m_max = max((r.stop - r.start for r in rows), default=0)
     k0 = 2 + n * n
     p_text, k_text = _Text(), _Text()
+    cells = np.full((min(CHUNK_ROWS, len(states)), N, k0 + m_max * n), "",
+                    dtype=object)
+    cells[:, :, 1] = [str(i) for i in range(N)]
     with _open_csv(path, provenance) as fh:
         _write_rows(fh, [["step", "agent"]
                          + [f"p_{r}_{c}" for r in range(n) for c in range(n)]
@@ -162,16 +165,15 @@ def write_trace_csv(trace: RecursionTrace, path, provenance=None) -> None:
             K = [k.stack for k in gains[start:start + CHUNK_ROWS]]
             S = len(P)
             step = trace.first_step + start
-            cells = np.full((S, N, k0 + m_max * n), "", dtype=object)
-            cells[:, :, 0] = np.arange(step, step + S).astype(str)[:, None]
-            cells[:, :, 1] = np.arange(N).astype(str)
-            cells[:, :, 2:k0] = p_text(P).reshape(S, N, n * n)
+            cells[:S, :, 0] = np.arange(step, step + S).astype(str)[:, None]
+            cells[:S, :, 2:k0] = p_text(P).reshape(S, N, n * n)
+            cells[len(K):S, :, k0:] = ""
             if K:
                 text = k_text(stack_stacks(K))
                 for i, r in enumerate(rows):
                     cells[:len(K), i, k0:k0 + (r.stop - r.start) * n] = \
                         text[:, r].reshape(len(K), -1)
-            _write_rows(fh, cells.reshape(S * N, -1).tolist())
+            _write_rows(fh, cells[:S].reshape(S * N, -1).tolist())
 
 
 def write_termination_json(term: TerminationRecord, path,

@@ -5,6 +5,7 @@ import pytest
 
 import lqgames as lq
 from lqgames.analysis import CYCLE_WINDOW, MAX_PERIOD, _minimal_period
+from lqgames.experiments import _rng_for, random_game
 from lqgames.riccati import (FULL_STORAGE_LIMIT, RING_BUFFER_SIZE,
                              RecursionTrace, TerminationRecord)
 
@@ -204,9 +205,86 @@ def test_verify_cycle_phase_count(found_cycle):
         assert gains.distance(cert.gains[l]) < 1e-10
 
 
-def test_verify_cycle_needs_two_phases(scalar_lqr):
+def test_verify_cycle_period_one_and_empty(scalar_lqr):
+    cert = lq.verify_cycle([lq.PTuple([GOLDEN])], scalar_lqr)
+    assert cert.period == 1
+    assert cert.product_spectral_radius == cert.phase_spectral_radii[0] < 1.0
     with pytest.raises(ValueError):
-        lq.verify_cycle([lq.PTuple([GOLDEN])], scalar_lqr)
+        lq.verify_cycle([], scalar_lqr)
+
+
+def unstable_fixed_point():
+    """A fixed point of GameSpec(5, [1, 0], [1, 1], [1, 1]) whose closed
+    loop is 5 / (1 + p1) = 5.208: agent 1's negative Riccati root, and
+    agent 2, who has no input, paying 1 / (1 - Acl^2)."""
+    game = lq.GameSpec(5, [1, 0], [1, 1], [1, 1])
+    p1 = (25.0 - np.sqrt(629.0)) / 2.0
+    acl = 5.0 / (1.0 + p1)
+    return game, lq.PTuple([p1, 1.0 / (1.0 - acl ** 2)]), acl
+
+
+def test_unstable_fixed_point_fails_only_stability():
+    game, p, acl = unstable_fixed_point()
+    report = lq.nash_verify_stationary(p, game)
+    assert not report.ok and report.precondition_ok
+    assert report.fixed_point_residual < 1e-13
+    assert report.closed_loop_spectral_radius == pytest.approx(acl, rel=1e-12)
+    assert report.best_response_gaps == []
+    for phases in ([p], [p, p]):
+        with pytest.raises(lq.CertificationFailed) as err:
+            lq.verify_cycle(phases, game)
+        assert len(err.value.failures) == 1
+        assert err.value.failures[0].startswith("period product spectral radius")
+
+
+def test_singular_stage_is_a_failure(fig1_game):
+    # at (-1, 0) the Fig. 1 stage matrix has determinant 2 + p2 + 2 p1 = 0
+    p = lq.PTuple([-1.0, 0.0])
+    report = lq.nash_verify_stationary(p, fig1_game)
+    assert not report.ok and not report.precondition_ok
+    assert report.gains is None
+    for phases in ([p], [p, p]):
+        with pytest.raises(lq.CertificationFailed) as err:
+            lq.verify_cycle(phases, fig1_game)
+        assert err.value.failures == [str(lq.SingularStageSystem(0.0))]
+
+
+def _agreement_points(fig1_game, fig1_equilibria):
+    """(game, point) pairs: Fig. 1's equilibria, each perturbed by 1e-6,
+    the unstable fixed point, and descent equilibria of a few random
+    games at master seed 77."""
+    yield from ((fig1_game, pt.p) for pt in fig1_equilibria)
+    yield from ((fig1_game, lq.PTuple(pt.p.stack * (1.0 + 1e-6)))
+                for pt in fig1_equilibria)
+    game, p, _ = unstable_fixed_point()
+    yield game, p
+    for cell, (n, m, N), trials in ((0, (2, 1, 3), (0, 2, 3)),
+                                    (1, (3, 3, 2), (0, 3, 5))):
+        for t in trials:
+            game = random_game(n, m, N, _rng_for(77, cell, t))
+            for pt in lq.residual_descent_search(game):
+                yield game, pt.p
+
+
+def test_stationary_check_agrees_with_replicated_cycle(fig1_game,
+                                                       fig1_equilibria):
+    verdicts = []
+    for game, p in _agreement_points(fig1_game, fig1_equilibria):
+        report = lq.nash_verify_stationary(p, game)
+        try:
+            cert = lq.verify_cycle([p, p], game)
+        except lq.CertificationFailed:
+            cert = None
+        assert report.ok == (cert is not None)
+        verdicts.append(report.ok)
+        if cert is not None:
+            assert cert.cycle_residual == report.fixed_point_residual
+            assert cert.product_spectral_radius == pytest.approx(
+                report.closed_loop_spectral_radius ** 2, rel=1e-9)
+    # three Fig. 1 equilibria and at least one point per descent game pass;
+    # the four failing points fail
+    assert verdicts[:7] == [True] * 3 + [False] * 4
+    assert len(verdicts) >= 7 + 6 and all(verdicts[7:])
 
 
 # ---------------------------------------------------------------------------

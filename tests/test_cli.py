@@ -497,8 +497,8 @@ def test_unreadable_game_is_usage_error(tmp_path, fig1_files, capsys,
     (json.dumps({"phases": [[1.0], [2.0]]}), "2 agents"),
     (json.dumps({"phases": [[[[1.0, 0.0]]] * 2] * 2}), "shape"),
     (json.dumps({"phases": [[1.0, 1.0], [1e999, 1.0]]}), "non-finite"),
-    (json.dumps({"phases": [[1.0, 1.0]]}), "at least two phases"),
-], ids=["unreadable", "one-agent", "wrong-shape", "non-finite", "one-phase"])
+    (json.dumps({"phases": []}), "at least one phase"),
+], ids=["unreadable", "one-agent", "wrong-shape", "non-finite", "no-phase"])
 def test_malformed_phases_are_usage_errors(tmp_path, fig1_files, capsys,
                                            text, needle):
     game_path, _ = fig1_files
@@ -509,4 +509,35 @@ def test_malformed_phases_are_usage_errors(tmp_path, fig1_files, capsys,
     assert rc == 2
     err = capsys.readouterr().err
     assert "usage error" in err and needle in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_verify_cycle_certifies_one_phase(tmp_path, fig1_files,
+                                          fig1_equilibria):
+    # a stationary equilibrium is a cycle of period one
+    game_path, _ = fig1_files
+    phases_path = tmp_path / "phases.json"
+    phases_path.write_text(json.dumps(
+        {"phases": [[m.tolist() for m in fig1_equilibria.points[0].p]]}))
+    out = tmp_path / "o"
+    rc = main(["verify-cycle", "--game", str(game_path), "--phases",
+               str(phases_path), "--out", str(out)])
+    assert rc == 0
+    doc = json.loads((out / "certificate.json").read_text())
+    assert doc["period"] == 1
+    assert doc["product_spectral_radius"] < 1.0
+    assert_manifest_lists_every_file(out)
+
+
+def test_verify_cycle_singular_stage_fails_certification(tmp_path,
+                                                         fig1_files, capsys):
+    # at (-1, 0) the Fig. 1 stage matrix has determinant 2 + p2 + 2 p1 = 0
+    game_path, _ = fig1_files
+    phases_path = tmp_path / "phases.json"
+    phases_path.write_text(json.dumps({"phases": [[-1.0, 0.0]] * 2}))
+    rc = main(["verify-cycle", "--game", str(game_path), "--phases",
+               str(phases_path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("certification failed: stage-gain system singular")
     assert not (tmp_path / "o").exists()
