@@ -3,8 +3,9 @@
 Multiple stationary equilibria is the basic multi-agent surprise: the
 same game supports several mutually-consistent stationary policies. The
 scalar enumerator brackets all of them algebraically (no recursion
-involved), verifies each as a Nash equilibrium through independent
-single-agent best responses, and demonstrates terminal-cost selection:
+involved), certifies each as a Nash equilibrium by its period-1 cycle
+certificate (every agent's best response against the others' frozen
+gains reproduces its value), and demonstrates terminal-cost selection:
 using any equilibrium as the terminal cost pins the whole finite-horizon
 solution to it.
 """
@@ -21,13 +22,13 @@ print(f"found {len(eqs)} stationary equilibria "
 
 for idx, pt in enumerate(eqs):
     p1, p2 = (float(np.asarray(m)[0, 0]) for m in pt.p)
-    k1, k2 = (float(k[0, 0]) for k in pt.gains)
-    v = pt.verification
+    cert = pt.certificate
+    k1, k2 = (float(k[0, 0]) for k in cert.gains[0])
     print(f"\nequilibrium {idx}: P = ({p1:.6f}, {p2:.6f})")
     print(f"  gains K = ({k1:.6f}, {k2:.6f})")
-    print(f"  rho(closed loop) = {v.closed_loop_spectral_radius:.6f}")
-    print(f"  best-response value residuals = "
-          f"{[f'{g:.1e}' for g in v.best_response_gaps]}")
+    print(f"  rho(closed loop) = {cert.product_spectral_radius:.6f}")
+    print(f"  best-response value residual = "
+          f"{cert.periodic_br_residual:.1e}")
 
 print("\nterminal-cost selection: start the 50-step recursion on each")
 for idx, pt in enumerate(eqs):

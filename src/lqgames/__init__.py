@@ -15,10 +15,9 @@ from .riccati import (ConvergenceStop, NoConvergence, NotStabilizable,
                       best_response_dare, closed_loop, partial_closed_loop,
                       periodic_best_response, riccati_step, run_recursion)
 from .analysis import (CertificationFailed, Classification, ClassifyOptions,
-                       CycleCertificate, NashVerification, classify,
-                       detect_convergence, detect_cycle,
-                       fixed_point_residual, nash_verify_stationary,
-                       spectral_radius, verify_cycle)
+                       CycleCertificate, classify, detect_convergence,
+                       detect_cycle, fixed_point_residual, spectral_radius,
+                       verify_cycle)
 from .equilibria import (EquilibriumPoint, EquilibriumSet, NoEquilibriumFound,
                          residual_descent_search, scalar_two_agent_equilibria)
 from .simulate import (DeviationReport, Trajectory, deviation_test,
@@ -40,9 +39,8 @@ __all__ = [
     "best_response_dare", "periodic_best_response", "SingularStageSystem",
     "NotStabilizable", "NoConvergence",
     "Classification", "ClassifyOptions", "CycleCertificate",
-    "NashVerification", "CertificationFailed", "classify",
-    "detect_convergence", "detect_cycle", "fixed_point_residual",
-    "nash_verify_stationary", "spectral_radius", "verify_cycle",
+    "CertificationFailed", "classify", "detect_convergence", "detect_cycle",
+    "fixed_point_residual", "spectral_radius", "verify_cycle",
     "EquilibriumPoint", "EquilibriumSet", "NoEquilibriumFound",
     "scalar_two_agent_equilibria", "residual_descent_search",
     "Trajectory", "DeviationReport", "simulate", "finite_horizon_cost",

@@ -28,9 +28,13 @@ applied while the orbit moves from P_{l+1} to P_l) and Acl_l the matching
 closed loop. The best responses run only once the orbit residual and the
 period product pass: a stable Theta_L makes every (A - sum_{j != i}
 B^j K_l^j, B^i) periodically stabilizable, so each one settles.
+
+verify_cycle returns a CycleCertificate, or raises CertificationFailed
+carrying the failing measurements. The period-1 certificate is the one
+record of a stationary equilibrium, the searches' points included.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,10 +66,14 @@ BR_TOL = 1e-6
 
 
 class CertificationFailed(RuntimeError):
-    """One or more certificate checks failed."""
+    """One or more certificate checks failed. certificate holds the
+    measurements of the failing phases, or None when a stage in the loop
+    is singular."""
 
-    def __init__(self, failures: list[str]):
+    def __init__(self, failures: list[str],
+                 certificate: "CycleCertificate | None" = None):
         self.failures = failures
+        self.certificate = certificate
         super().__init__("; ".join(failures))
 
 
@@ -116,23 +124,6 @@ class ClassifyOptions:
     """Recursion horizon; the default is desk scale."""
 
     horizon: int = 10_000
-
-
-@dataclass
-class NashVerification:
-    """Stationary-equilibrium check: the period-one certificate.
-    precondition_ok is the fixed-point residual below CERT_TOL, and
-    closed_loop_spectral_radius is rho(Acl), measured even when it fails.
-    best_response_gaps holds each agent's relative value residual, empty
-    unless the residual and rho(Acl) < 1 pass. gains is the stage-gain
-    tuple at the point; a singular stage leaves it None, the rest NaN."""
-
-    ok: bool
-    precondition_ok: bool
-    fixed_point_residual: float = float("nan")
-    closed_loop_spectral_radius: float = float("nan")
-    gains: GainTuple | None = None
-    best_response_gaps: list[float] = field(default_factory=list)
 
 
 def spectral_radius(M: np.ndarray) -> float:
@@ -210,12 +201,12 @@ def detect_cycle(trace: RecursionTrace, game: GameSpec) -> CycleCertificate | No
 
 
 def _check_cycle(phases, game: GameSpec,
-                 ) -> tuple[CycleCertificate | None, list[float], list[str]]:
+                 ) -> tuple[CycleCertificate | None, list[str]]:
     """verify_cycle's checks on L >= 1 phases, reported, never raised, as
-    (cert, br_residuals, failures). cert holds the measurements, passing
-    or not, or is None when a stage in the loop is singular; br_residuals
-    holds each agent's best-response residual once they all ran (else
-    cert.periodic_br_residual is NaN); failures names each failed check."""
+    (cert, failures). cert holds the measurements, passing or not, or is
+    None when a stage in the loop is singular; its periodic_br_residual is
+    NaN unless every agent's best response ran. failures names each
+    failed check."""
     phases = [p if isinstance(p, PTuple) else PTuple(p) for p in phases]
     L = len(phases)
     if L < 1:
@@ -230,7 +221,7 @@ def _check_cycle(phases, game: GameSpec,
         try:
             image, k = riccati_step(phases[(l + 1) % L], game)
         except SingularStageSystem as err:
-            return None, [], [str(err)]
+            return None, [str(err)]
         gains.append(k)
         residual = max(residual, phases[l].distance(image))
 
@@ -293,7 +284,7 @@ def _check_cycle(phases, game: GameSpec,
         loop_identity_residual=loop_residual,
         periodic_br_residual=br_residual,
         phase_spectral_radii=phase_rho,
-    ), br, failures
+    ), failures
 
 
 def verify_cycle(phases, game: GameSpec) -> CycleCertificate:
@@ -306,12 +297,12 @@ def verify_cycle(phases, game: GameSpec) -> CycleCertificate:
     order: orbit residual below CERT_TOL, period product below one, loop
     identity below LOOP_TOL, and, once the first two pass, every agent's
     best-response residual below BR_TOL. Raises CertificationFailed
-    listing every failed check, a singular stage among them, and
-    ValueError for no phase.
+    listing every failed check, a singular stage among them, with the
+    measurements in its certificate, and ValueError for no phase.
     """
-    cert, _, failures = _check_cycle(phases, game)
+    cert, failures = _check_cycle(phases, game)
     if failures:
-        raise CertificationFailed(failures)
+        raise CertificationFailed(failures, cert)
     return cert
 
 
@@ -355,15 +346,3 @@ def classify(game: GameSpec, terminal: PTuple,
     return Classification(VERDICT_BOUNDED, sup_norm=term.sup_norm,
                           steps_observed=term.steps)
 
-
-def nash_verify_stationary(p: PTuple, game: GameSpec) -> NashVerification:
-    """Verify a fixed point as a stationary Nash equilibrium: verify_cycle
-    at L = 1, reported rather than raised (see NashVerification)."""
-    cert, gaps, failures = _check_cycle([p], game)
-    if cert is None:
-        return NashVerification(ok=False, precondition_ok=False)
-    return NashVerification(
-        ok=not failures, precondition_ok=cert.cycle_residual < CERT_TOL,
-        fixed_point_residual=cert.cycle_residual,
-        closed_loop_spectral_radius=cert.product_spectral_radius,
-        gains=cert.gains[0], best_response_gaps=gaps)

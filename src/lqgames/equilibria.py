@@ -12,18 +12,20 @@ Two routes that avoid iterating the backward recursion:
   initializations. The objective is sum_i ||P^i - f(P)^i||_F^2 with f the
   one-step backward map.
 
-Every returned point carries its stage gains and a full stationary Nash
-verification, the period-one certificate of analysis.verify_cycle; fixed
-points whose closed loop is not strictly stable are discarded (they are
-not equilibria) but counted in the search metadata.
+Every returned point carries its period-1 certificate from analysis'
+cycle check; certificate.gains[0] is its stage-gain tuple. Fixed points
+that fail the check are discarded, and both searches count them in their
+metadata: unstable_discarded for a point whose residual passes but whose
+closed loop is not strictly stable (it is not an equilibrium), and
+verification_failed for every other failure, a singular stage among them.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import NashVerification, nash_verify_stationary
-from .model import GainTuple, GameSpec, PTuple
+from .analysis import CERT_TOL, CycleCertificate, _check_cycle
+from .model import GameSpec, PTuple
 from .riccati import (SingularStageSystem, _one_blas_thread, _solve_each,
                       _stage_map_batch, riccati_step)
 
@@ -51,9 +53,10 @@ class NoEquilibriumFound(RuntimeError):
 
 @dataclass(frozen=True)
 class EquilibriumPoint:
+    """A verified stationary equilibrium and its period-1 certificate."""
+
     p: PTuple
-    gains: GainTuple
-    verification: NashVerification
+    certificate: CycleCertificate
 
 
 @dataclass
@@ -86,6 +89,24 @@ def _image(game: GameSpec, x: np.ndarray) -> np.ndarray:
     of (P^1, P^2) pairs, as a (K, 2) array; a singular member is NaN."""
     values, _ = _stage_map_batch(game, x.reshape(-1, 2, 1, 1))
     return values.reshape(-1, 2)
+
+
+def _certify(game: GameSpec,
+             candidates) -> tuple[list[EquilibriumPoint], int, int]:
+    """Check each candidate fixed point at period 1. Returns the passing
+    points and the counts of the rest: unstable (residual below CERT_TOL,
+    rho(Acl) >= 1) and failed (any other failure)."""
+    points, unstable, failed = [], 0, 0
+    for p in candidates:
+        cert, failures = _check_cycle([p], game)
+        if not failures:
+            points.append(EquilibriumPoint(p, cert))
+        elif (cert is not None and cert.cycle_residual < CERT_TOL
+              and cert.product_spectral_radius >= 1.0):
+            unstable += 1
+        else:
+            failed += 1
+    return points, unstable, failed
 
 
 def _newton(game: GameSpec, x: np.ndarray, pin: bool = False):
@@ -213,19 +234,8 @@ def scalar_two_agent_equilibria(game: GameSpec) -> EquilibriumSet:
         refined, _ = _newton(game, np.array(roots), pin=True)
         roots = [_pin_to_stage_map(game, x) for x in refined]
 
-    points = []
-    unstable = 0
-    failed = 0
-    for root in roots:
-        p = PTuple([root[0], root[1]])
-        report = nash_verify_stationary(p, game)
-        if report.ok:
-            points.append(EquilibriumPoint(p, report.gains, report))
-        elif report.precondition_ok and report.closed_loop_spectral_radius >= 1.0:
-            unstable += 1
-        else:
-            failed += 1
-
+    points, unstable, failed = _certify(
+        game, [PTuple([root[0], root[1]]) for root in roots])
     metadata = {
         "grid_points": GRID_POINTS,
         "p_range": (GRID_MIN, GRID_MAX),
@@ -265,8 +275,9 @@ def residual_descent_search(game: GameSpec, inits=None, restarts: int = 20,
     Runs damped Gauss-Newton (scipy least_squares on the stacked residual
     vec(P - f(P))) from each supplied initialization, the game's Q, and
     `restarts` random positive-definite ones. A point is accepted only when
-    the squared residual falls below DESCENT_ACCEPT_TOL and the full
-    stationary Nash verification passes. An empty set is a valid outcome.
+    the squared residual falls below DESCENT_ACCEPT_TOL and its period-1
+    certificate passes; the distinct converged points that fail are
+    counted as in the enumeration. An empty set is a valid outcome.
 
     scipy.optimize is imported on the first call, so code that never
     searches by descent does not load it.
@@ -301,12 +312,8 @@ def residual_descent_search(game: GameSpec, inits=None, restarts: int = 20,
             mats.append(g @ g.T + 0.1 * np.eye(n))
         starts.append(PTuple(mats))
 
-    points: list[EquilibriumPoint] = []
     seen: list[PTuple] = []        # every converged point, accepted or not
-    attempts = 0
-    accepted = 0
     for start in starts:
-        attempts += 1
         x0 = _pack(start, n)
         try:
             result = least_squares(residual_vec, x0, method="trf",
@@ -321,12 +328,10 @@ def residual_descent_search(game: GameSpec, inits=None, restarts: int = 20,
         if any(p.distance(s) < DEDUP_TOL for s in seen):
             continue
         seen.append(p)
-        report = nash_verify_stationary(p, game)
-        if report.ok:
-            points.append(EquilibriumPoint(p, report.gains, report))
-            accepted += 1
 
-    metadata = {"initializations": attempts, "accepted": accepted,
+    points, unstable, failed = _certify(game, seen)
+    metadata = {"initializations": len(starts), "accepted": len(points),
+                "unstable_discarded": unstable, "verification_failed": failed,
                 "restarts": restarts, "seed": seed}
     points.sort(key=lambda pt: tuple(np.asarray(pt.p[0]).ravel()))
     return EquilibriumSet(points=points, method="descent",

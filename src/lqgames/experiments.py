@@ -77,6 +77,18 @@ def random_terminal(game: GameSpec, rng: np.random.Generator) -> PTuple:
     return PTuple(mats)
 
 
+def _draw_trial(master_seed: int, ci: int, t: int,
+                cell) -> tuple[GameSpec, PTuple] | None:
+    """Trial t of cell index ci: a random game of the (n, m, N) cell and a
+    terminal cost from the same generator, or None when generation fails."""
+    rng = _rng_for(master_seed, ci, t)
+    try:
+        game = random_game(*cell, rng)
+    except GenerationFailed:
+        return None
+    return game, random_terminal(game, rng)
+
+
 # ---------------------------------------------------------------------------
 # Basin of attraction over terminal costs (scalar two-agent games)
 
@@ -125,8 +137,6 @@ def run_basin_grid(game: GameSpec, axis_samples: int = 100,
     if not (math.isfinite(hi) and 0 <= lo < hi):
         raise ValueError(f"terminal-cost range {q_range} needs finite "
                          "0 <= lo < hi")
-    if opts is None:
-        opts = ClassifyOptions()
     if equilibria is None:
         equilibria = scalar_two_agent_equilibria(game)
     axis = np.linspace(lo, hi, axis_samples + 1)[1:]
@@ -188,21 +198,17 @@ def run_ensemble(cells, trials: int, master_seed: int,
     trial index), so reports are reproducible and order-independent.
     Generation failures are counted per cell and never abort the run.
     """
-    if opts is None:
-        opts = ClassifyOptions()
     report = EnsembleReport(cells={}, trials_per_cell=trials,
                             master_seed=master_seed)
     for ci, cell in enumerate(cells):
         n, m, N = cell
         stats = CellStats(counts={k: 0 for k in VERDICTS})
         for t in range(trials):
-            rng = _rng_for(master_seed, ci, t)
-            try:
-                game = random_game(n, m, N, rng)
-            except GenerationFailed:
+            trial = _draw_trial(master_seed, ci, t, cell)
+            if trial is None:
                 stats.generation_failures += 1
                 continue
-            terminal = random_terminal(game, rng)
+            game, terminal = trial
             verdict = classify(game, terminal, opts)
             stats.counts[verdict.verdict] = stats.counts.get(verdict.verdict, 0) + 1
         report.cells[(n, m, N)] = stats
@@ -240,8 +246,6 @@ def cycle_census(cells, target: int, master_seed: int,
     CensusIncomplete (with the partial census attached) if any cell
     exhausts the examination cap first.
     """
-    if opts is None:
-        opts = ClassifyOptions()
     census = CycleCensus(target_count=target, cells={},
                          master_seed=master_seed, examination_cap=cap)
     for ci, cell in enumerate(cells):
@@ -254,14 +258,12 @@ def cycle_census(cells, target: int, master_seed: int,
                 cc.complete = False
                 census.cells[(n, m, N)] = cc
                 raise CensusIncomplete(census, (n, m, N))
-            rng = _rng_for(master_seed, ci, g)
+            trial = _draw_trial(master_seed, ci, g, cell)
             g += 1
             cc.games_examined = g
-            try:
-                game = random_game(n, m, N, rng)
-            except GenerationFailed:
+            if trial is None:
                 continue
-            terminal = random_terminal(game, rng)
+            game, terminal = trial
             verdict = classify(game, terminal, opts)
             if verdict.verdict == VERDICT_CYCLE:
                 cert = verdict.certificate

@@ -229,7 +229,8 @@ def classification_dict(c: Classification) -> dict:
 
 
 def write_equilibria_csv(eqs: EquilibriumSet, path, provenance=None) -> None:
-    """One row per equilibrium: P entries, K entries, rho(Acl), residual."""
+    """One row per equilibrium from its certificate: P entries, K entries,
+    rho(Acl), residual."""
     def flat(mats):
         return ";".join(repr(float(v)) for m in mats
                         for v in np.asarray(m).ravel())
@@ -237,9 +238,9 @@ def write_equilibria_csv(eqs: EquilibriumSet, path, provenance=None) -> None:
     _write_table(path, provenance,
                  ["index", "p_entries", "k_entries",
                   "closed_loop_spectral_radius", "fixed_point_residual"],
-                 [(idx, flat(pt.p), flat(pt.gains),
-                   repr(pt.verification.closed_loop_spectral_radius),
-                   repr(pt.verification.fixed_point_residual))
+                 [(idx, flat(pt.p), flat(pt.certificate.gains[0]),
+                   repr(pt.certificate.product_spectral_radius),
+                   repr(pt.certificate.cycle_residual))
                   for idx, pt in enumerate(eqs.points)])
 
 

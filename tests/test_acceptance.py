@@ -51,8 +51,7 @@ def test_criterion_1_three_equilibria(bench_game, bench_equilibria):
     assert elapsed < 10.0, f"enumeration took {elapsed:.1f}s"
     assert len(bench_equilibria) == 3
     for pt in bench_equilibria:
-        report = lq.nash_verify_stationary(pt.p, bench_game)
-        assert report.ok
+        lq.verify_cycle([pt.p], bench_game)
     _report("1", f"(3 equilibria, {elapsed:.2f}s)")
 
 
@@ -187,12 +186,12 @@ def test_criterion_8_nonconvergent_regime_with_missed_equilibrium():
     assert found is not None, "no missed equilibrium located"
     t, game, terminal, eqs = found
     point = eqs.points[0]
-    assert point.verification.ok
+    lq.verify_cycle([point.p], game)
     # the recursion from this trial's terminal does not reach the point
     verdict = lq.classify(game, terminal)
     assert verdict.verdict == "bounded_nonconvergent"
     _report("8", f"(trial {t}: descent found rho(Acl)="
-                 f"{point.verification.closed_loop_spectral_radius:.3f} "
+                 f"{point.certificate.product_spectral_radius:.3f} "
                  f"equilibrium, recursion stays non-convergent)")
 
 

@@ -55,17 +55,18 @@ def test_fixed_point_residual_fig1_hand_value(fig1_game):
 
 def test_fix_points_are_nash(fig1_equilibria, fig1_game):
     for pt in fig1_equilibria:
-        report = lq.nash_verify_stationary(pt.p, fig1_game)
-        assert report.ok
-        assert report.fixed_point_residual < 1e-9
-        assert all(gap < 1e-9 for gap in report.best_response_gaps)
-        assert report.closed_loop_spectral_radius < 1.0
+        cert = lq.verify_cycle([pt.p], fig1_game)
+        assert cert.cycle_residual < 1e-9
+        assert cert.periodic_br_residual < 1e-9
+        assert cert.product_spectral_radius < 1.0
 
 
 def test_nash_verify_precondition_violation(fig1_game):
-    report = lq.nash_verify_stationary(lq.PTuple([1.0, 1.0]), fig1_game)
-    assert not report.precondition_ok
-    assert not report.ok
+    with pytest.raises(lq.CertificationFailed) as err:
+        lq.verify_cycle([lq.PTuple([1.0, 1.0])], fig1_game)
+    assert err.value.failures[0].startswith("orbit residual")
+    assert err.value.certificate.cycle_residual == pytest.approx(4.0,
+                                                                 abs=1e-12)
 
 
 def test_terminal_cost_selection_pins_recursion(fig1_game, fig1_equilibria):
@@ -225,28 +226,26 @@ def unstable_fixed_point():
 
 def test_unstable_fixed_point_fails_only_stability():
     game, p, acl = unstable_fixed_point()
-    report = lq.nash_verify_stationary(p, game)
-    assert not report.ok and report.precondition_ok
-    assert report.fixed_point_residual < 1e-13
-    assert report.closed_loop_spectral_radius == pytest.approx(acl, rel=1e-12)
-    assert report.best_response_gaps == []
     for phases in ([p], [p, p]):
         with pytest.raises(lq.CertificationFailed) as err:
             lq.verify_cycle(phases, game)
         assert len(err.value.failures) == 1
         assert err.value.failures[0].startswith("period product spectral radius")
+        cert = err.value.certificate
+        assert cert.cycle_residual < 1e-13
+        assert cert.product_spectral_radius == pytest.approx(
+            acl ** len(phases), rel=1e-12)
+        assert np.isnan(cert.periodic_br_residual)
 
 
 def test_singular_stage_is_a_failure(fig1_game):
     # at (-1, 0) the Fig. 1 stage matrix has determinant 2 + p2 + 2 p1 = 0
     p = lq.PTuple([-1.0, 0.0])
-    report = lq.nash_verify_stationary(p, fig1_game)
-    assert not report.ok and not report.precondition_ok
-    assert report.gains is None
     for phases in ([p], [p, p]):
         with pytest.raises(lq.CertificationFailed) as err:
             lq.verify_cycle(phases, fig1_game)
         assert err.value.failures == [str(lq.SingularStageSystem(0.0))]
+        assert err.value.certificate is None
 
 
 def _agreement_points(fig1_game, fig1_equilibria):
@@ -266,21 +265,26 @@ def _agreement_points(fig1_game, fig1_equilibria):
                 yield game, pt.p
 
 
+def _outcome(phases, game):
+    """(passed, certificate) of verify_cycle, failing or not."""
+    try:
+        return True, lq.verify_cycle(phases, game)
+    except lq.CertificationFailed as err:
+        return False, err.certificate
+
+
 def test_stationary_check_agrees_with_replicated_cycle(fig1_game,
                                                        fig1_equilibria):
     verdicts = []
     for game, p in _agreement_points(fig1_game, fig1_equilibria):
-        report = lq.nash_verify_stationary(p, game)
-        try:
-            cert = lq.verify_cycle([p, p], game)
-        except lq.CertificationFailed:
-            cert = None
-        assert report.ok == (cert is not None)
-        verdicts.append(report.ok)
-        if cert is not None:
-            assert cert.cycle_residual == report.fixed_point_residual
-            assert cert.product_spectral_radius == pytest.approx(
-                report.closed_loop_spectral_radius ** 2, rel=1e-9)
+        ok, one = _outcome([p], game)
+        ok_twice, two = _outcome([p, p], game)
+        assert ok == ok_twice
+        verdicts.append(ok)
+        # failing points carry their measurements too
+        assert two.cycle_residual == one.cycle_residual
+        assert two.product_spectral_radius == pytest.approx(
+            one.product_spectral_radius ** 2, rel=1e-9)
     # three Fig. 1 equilibria and at least one point per descent game pass;
     # the four failing points fail
     assert verdicts[:7] == [True] * 3 + [False] * 4

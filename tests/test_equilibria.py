@@ -14,11 +14,11 @@ def scalar_values(point):
     return tuple(float(np.asarray(m)[0, 0]) for m in point.p)
 
 
-def test_fig1_game_has_exactly_three_equilibria(fig1_equilibria):
+def test_fig1_game_has_exactly_three_equilibria(fig1_equilibria, fig1_game):
     assert len(fig1_equilibria) == 3
     for pt in fig1_equilibria:
-        assert pt.verification.ok
-        assert pt.verification.closed_loop_spectral_radius < 1.0
+        lq.verify_cycle([pt.p], fig1_game)
+        assert pt.certificate.product_spectral_radius < 1.0
     # pairwise distinct
     vals = [scalar_values(pt) for pt in fig1_equilibria]
     for i in range(3):
@@ -100,6 +100,19 @@ def test_descent_accepts_only_tiny_residuals(fig1_game):
         assert lq.fixed_point_residual(pt.p, fig1_game) < 1e-10
 
 
+def test_descent_counts_the_fixed_points_it_rejects():
+    # (3, 3, 2) games at master seed 77 where descent also converges on
+    # fixed points whose closed loop is unstable (rho(Acl) > 2)
+    game = random_game(3, 3, 2, _rng_for(77, 1, 3))
+    meta = lq.residual_descent_search(game).search_metadata
+    assert meta["accepted"] == 1
+    assert meta["unstable_discarded"] == 1
+    assert meta["verification_failed"] == 0
+    game = random_game(3, 3, 2, _rng_for(77, 1, 4))
+    meta = lq.residual_descent_search(game).search_metadata
+    assert meta["unstable_discarded"] == 2
+
+
 def test_oracle_agreement_on_random_scalar_games():
     # enumeration and descent agree as sets on random scalar games; the
     # descent is seeded from an independent coarse grid plus restarts
@@ -153,4 +166,4 @@ def test_every_root_has_stable_closed_loop():
             continue
         assert eqs.search_metadata["unstable_discarded"] == 0
         for pt in eqs:
-            assert pt.verification.closed_loop_spectral_radius < 1.0
+            assert pt.certificate.product_spectral_radius < 1.0

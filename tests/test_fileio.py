@@ -392,11 +392,11 @@ def _oracle_equilibria_csv(eqs, path, provenance=None):
     for idx, pt in enumerate(eqs.points):
         p_flat = ";".join(repr(float(v)) for m in pt.p
                           for v in np.asarray(m).ravel())
-        k_flat = ";".join(repr(float(v)) for m in pt.gains
+        k_flat = ";".join(repr(float(v)) for m in pt.certificate.gains[0]
                           for v in np.asarray(m).ravel())
         rows.append([idx, p_flat, k_flat,
-                     repr(pt.verification.closed_loop_spectral_radius),
-                     repr(pt.verification.fixed_point_residual)])
+                     repr(pt.certificate.product_spectral_radius),
+                     repr(pt.certificate.cycle_residual)])
     _oracle_csv(path, provenance,
                 ["index", "p_entries", "k_entries",
                  "closed_loop_spectral_radius", "fixed_point_residual"], rows)

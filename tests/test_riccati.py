@@ -434,10 +434,11 @@ def test_periodic_best_response_replicated_equilibrium_is_dare(
     # L copies of a stationary equilibrium's gains: every slot solves the
     # same DARE, so each slot carries best_response_dare's solution
     for pt in fig1_equilibria:
+        gains_1 = pt.certificate.gains[0]
         for i in range(2):
-            P, K = lq.best_response_dare(fig1_game, i, pt.gains)
+            P, K = lq.best_response_dare(fig1_game, i, gains_1)
             values, gains = lq.periodic_best_response(fig1_game, i,
-                                                      [pt.gains] * 3)
+                                                      [gains_1] * 3)
             assert len(values) == len(gains) == 3
             for V, Kl in zip(values, gains):
                 assert np.allclose(V, P, rtol=1e-10, atol=1e-12)

@@ -17,8 +17,9 @@ def test_simulate_zero_dynamics():
 
 def test_simulate_equilibrium_decay(fig1_game, fig1_equilibria):
     pt = fig1_equilibria.points[0]
-    rho = pt.verification.closed_loop_spectral_radius
-    traj = lq.simulate(fig1_game, [pt.gains], [1.0], 30)
+    rho = pt.certificate.product_spectral_radius
+    schedule = pt.certificate.forward_gain_schedule()
+    traj = lq.simulate(fig1_game, schedule, [1.0], 30)
     norms = np.abs(traj.states.ravel())
     # scalar closed loop: decay is exactly geometric at rate rho
     for t in range(1, 31):
@@ -45,7 +46,8 @@ def test_simulate_cycle_schedule_period_decay(found_cycle):
 def test_simulate_schedule_length_contract(fig1_game, fig1_equilibria):
     pt = fig1_equilibria.points[0]
     with pytest.raises(ValueError):
-        lq.simulate(fig1_game, [pt.gains, pt.gains], [1.0], 5)
+        lq.simulate(fig1_game, pt.certificate.forward_gain_schedule() * 2,
+                    [1.0], 5)
 
 
 def test_simulate_seeded_reproducibility():
