@@ -39,11 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (GainTuple, GameSpec, PTuple, stack_distances,
-                    stack_stacks, validate_terminal)
+                    validate_terminal)
 from .riccati import (CONV_WINDOW, ConvergenceStop, NoConvergence,
                       RecursionTrace, SingularStageSystem, _one_blas_thread,
-                      closed_loop, periodic_best_response, riccati_step,
-                      run_recursion)
+                      _orbit_changes, _orbit_norms, closed_loop,
+                      periodic_best_response, riccati_step, run_recursion)
 
 VERDICT_CONVERGED = "converged"
 VERDICT_CYCLE = "cycle"
@@ -146,36 +146,49 @@ def detect_convergence(trace: RecursionTrace) -> tuple[PTuple, int] | None:
     closing that window together with s*. Step counts are absolute even
     when the trace retains only a trailing window. The rule is
     ConvergenceStop's, so a recursion that stopped on it settled
-    CONV_WINDOW steps before its end.
+    CONV_WINDOW steps before its end. The changes are the recursion's
+    own, taken in one pass over the trace's stacked values.
     """
-    states = trace.p_states
+    values = trace.values
     rule = ConvergenceStop()
-    for s in range(len(states) - 1):
-        if rule(s + 1, states[s].distance(states[s + 1])):
-            return states[s + 1], trace.first_step + s + 1 - CONV_WINDOW
+    for s, rel in enumerate(_orbit_changes(values, _orbit_norms(values))):
+        if rule(s + 1, rel):
+            return (trace.p_states[s + 1],
+                    trace.first_step + s + 1 - CONV_WINDOW)
     return None
 
 
-def _minimal_period(states, tol: float, max_period: int, window: int) -> int | None:
-    """Smallest L in [1, max_period] matching the trailing orbit.
+def _minimal_period(values: np.ndarray, tol: float, max_period: int,
+                    window: int) -> int | None:
+    """Smallest L in [1, max_period] matching the trailing orbit of the
+    states stacked in values, (S + 1, N, n, n).
 
     Requires window * L consecutive matches between states s and s + L at
     relative tolerance tol, within the trace. A first pass compares the
     last state S with state S - L for every L at once; only the L it
-    passes are scanned pair by pair, in ascending order, which makes the
-    result minimal (no divisor of the returned period also matches).
+    passes are scanned, all pairs of one L in one call, in ascending
+    order, which makes the result minimal (no divisor of the returned
+    period also matches). A pair matches when its PTuple.distance, the
+    largest agent distance by Python's max, is below tol.
     """
-    S = len(states) - 1
+    S = len(values) - 1
     top = min(max_period, (S + 1) // (window + 1))
     if top < 1:
         return None
-    earlier = stack_stacks([states[S - L].stack for L in range(1, top + 1)])
-    first = stack_distances(earlier, states[S].stack).max(axis=-1)
+    first = stack_distances(values[S - top:S][::-1], values[S]).max(axis=-1)
     for L in (np.flatnonzero(first < tol) + 1).tolist():
-        if all(states[s].distance(states[s + L]) < tol
-               for s in range(S - L - 1, S - L - window * L, -1)):
+        lo = S - L - window * L + 1
+        pairs = stack_distances(values[lo:S - L], values[lo + L:S])
+        if all(max(d) < tol for d in pairs.tolist()):
             return L
     return None
+
+
+def _detached(stack: np.ndarray) -> PTuple:
+    """A value tuple over its own copy of one state's stack. A trace's
+    states are views of its values, so a state kept after the trace would
+    keep all of them."""
+    return PTuple._trusted(stack.copy())
 
 
 def detect_cycle(trace: RecursionTrace, game: GameSpec) -> CycleCertificate | None:
@@ -187,13 +200,11 @@ def detect_cycle(trace: RecursionTrace, game: GameSpec) -> CycleCertificate | No
     the trailing phases are certified by verify_cycle; a failed
     certificate also yields None.
     """
-    states = trace.p_states
-    L = _minimal_period(states, CYCLE_TOL, MAX_PERIOD, CYCLE_WINDOW)
+    L = _minimal_period(trace.values, CYCLE_TOL, MAX_PERIOD, CYCLE_WINDOW)
     if L is None or L == 1:
         return None
-    S = len(states) - 1
     # Loop order: phase l steps to phase l-1, so walk the tail backwards.
-    phases = [states[S - j] for j in range(L)]
+    phases = [_detached(trace.values[-1 - j]) for j in range(L)]
     try:
         return verify_cycle(phases, game)
     except CertificationFailed:
@@ -336,7 +347,7 @@ def classify(game: GameSpec, terminal: PTuple,
 
     if term.reason == "converged":
         return Classification(VERDICT_CONVERGED,
-                              fixed_point=trace.final_state(),
+                              fixed_point=_detached(trace.values[-1]),
                               steps_to_converge=term.steps - CONV_WINDOW)
 
     cert = detect_cycle(trace, game)

@@ -16,7 +16,9 @@ or phases file that is missing, unreadable or fails validation is a
 usage error, except that validate reports a failing game with exit 1.
 Phases are checked for count, shape and finiteness; certification
 judges the rest. equilibria enumerates a scalar two-agent game and
-searches any other game by residual descent.
+searches any other game by residual descent; it prints how many fixed
+points the search discarded as unstable or unverified, and its manifest
+records the search metadata.
 """
 
 import argparse
@@ -267,6 +269,7 @@ def dispatch(config: RunConfig) -> int:
     resolved["out"] = str(out)
     print(json.dumps({"resolved_config": resolved}, indent=1))
     artifacts: list[Path] = []
+    manifest_extra = None
     code = 0
     p = config.params
 
@@ -374,7 +377,11 @@ def dispatch(config: RunConfig) -> int:
         prov = {"command": "equilibria", "method": method,
                 "seed": p["seed"], "restarts": p["restarts"]}
         save("equilibria.csv", fileio.write_equilibria_csv, eqs, prov)
+        meta = eqs.search_metadata
+        manifest_extra = {"search_metadata": meta}
         print(f"{len(eqs)} stationary equilibria ({method})")
+        print(f"fixed points discarded: {meta['unstable_discarded']} "
+              f"unstable, {meta['verification_failed']} failed verification")
         code = 0 if len(eqs) else 1
 
     elif config.command == "verify-cycle":
@@ -409,7 +416,8 @@ def dispatch(config: RunConfig) -> int:
         print(f"simulated {T} steps; final state norm "
               f"{float(np.linalg.norm(traj.states[-1])):.3e}")
 
-    fileio.write_manifest(out, config.command, resolved, artifacts)
+    fileio.write_manifest(out, config.command, resolved, artifacts,
+                          manifest_extra)
     return code
 
 

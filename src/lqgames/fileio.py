@@ -143,15 +143,16 @@ def _write_table(path, provenance, header, rows) -> None:
 def write_trace_csv(trace: RecursionTrace, path, provenance=None) -> None:
     """One row per (step, agent): row-major P entries then row-major K
     entries. Gain columns are padded to the widest agent and left empty on
-    the final state (no step was taken from it). Only the value and gain
-    stacks are read, CHUNK_ROWS states at a time, into one cell array."""
-    states, gains = trace.p_states, trace.gains
-    N, n = states[0].stack.shape[:2]
+    the final state (no step was taken from it). Only the trace's stacked
+    values and the gain stacks are read, CHUNK_ROWS states at a time, into
+    one cell array."""
+    values, gains = trace.values, trace.gains
+    N, n = values.shape[1:3]
     rows = gains[0].rows if gains else ()
     m_max = max((r.stop - r.start for r in rows), default=0)
     k0 = 2 + n * n
     p_text, k_text = _Text(), _Text()
-    cells = np.full((min(CHUNK_ROWS, len(states)), N, k0 + m_max * n), "",
+    cells = np.full((min(CHUNK_ROWS, len(values)), N, k0 + m_max * n), "",
                     dtype=object)
     cells[:, :, 1] = [str(i) for i in range(N)]
     with _open_csv(path, provenance) as fh:
@@ -159,9 +160,8 @@ def write_trace_csv(trace: RecursionTrace, path, provenance=None) -> None:
                          + [f"p_{r}_{c}" for r in range(n) for c in range(n)]
                          + [f"k_{r}_{c}" for r in range(m_max)
                             for c in range(n)]])
-        for start in range(0, len(states), CHUNK_ROWS):
-            P = stack_stacks([p.stack
-                              for p in states[start:start + CHUNK_ROWS]])
+        for start in range(0, len(values), CHUNK_ROWS):
+            P = values[start:start + CHUNK_ROWS]
             K = [k.stack for k in gains[start:start + CHUNK_ROWS]]
             S = len(P)
             step = trace.first_step + start
@@ -353,7 +353,7 @@ def trace_value_series(trace: RecursionTrace, game: GameSpec):
     """Per-step Frobenius distance to the first stored state, as (step,
     agent, distance) rows, and closed-loop spectral radius, as (step,
     radius) rows, read from the stacks."""
-    P = stack_stacks([p.stack for p in trace.p_states])
+    P = trace.values
     S, N, n, _ = P.shape
     norms = stack_norms((P - P[0]).reshape(-1, n, n)).reshape(S, N)
     steps = trace.first_step + np.arange(S)
@@ -412,7 +412,8 @@ def export_trace_figures(trace_or_cert, game: GameSpec, out_dir,
     return paths
 
 
-def write_manifest(out_dir, command: str, resolved: dict, artifacts) -> None:
+def write_manifest(out_dir, command: str, resolved: dict, artifacts,
+                   extra: dict | None = None) -> None:
     _write_json({"command": command, "resolved_config": resolved,
                  "artifacts": [str(a) for a in artifacts]},
-                Path(out_dir, "manifest.json"))
+                Path(out_dir, "manifest.json"), extra)

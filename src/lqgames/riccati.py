@@ -23,13 +23,14 @@ import math
 import threading
 from collections import deque
 from dataclasses import dataclass
+from operator import truediv
 from pathlib import Path
 
 import numpy as np
 import scipy
 
 from .model import (GainTuple, GameSpec, PTuple, frobenius, pbh_stabilizable,
-                    stack_norms, symmetrize)
+                    stack_stacks, symmetrize)
 
 # Stage solve fails when the reciprocal condition estimate drops below this.
 SINGULARITY_RCOND = 1e-12
@@ -39,6 +40,12 @@ DIVERGENCE_THRESHOLD = 1e12
 FULL_STORAGE_LIMIT = 10_000
 # Ring size: enough for cycle detection up to analysis.MAX_PERIOD.
 RING_BUFFER_SIZE = 512
+# A recursion stores its values in chunks of this many steps, each chunk
+# led by a copy of the state it steps from, and checks its steps in
+# blocks of at most BLOCK_STEPS (fewer when a stop rule could fire
+# sooner); no block crosses a chunk.
+CHUNK_STEPS = 256
+BLOCK_STEPS = 16
 # Best-response iteration: relative settling tolerance and step budget.
 BEST_RESPONSE_TOL = 1e-12
 BEST_RESPONSE_MAX_STEPS = 100_000
@@ -78,21 +85,37 @@ class RecursionTrace:
     """Backward orbit of the stage map.
 
     p_states[s] is the value tuple after s backward steps from the terminal
-    condition (p_states[0] is the terminal tuple itself) and gains[s] is the
+    condition (p_states[0] holds the terminal values) and gains[s] is the
     gain tuple produced when stepping from p_states[s] to p_states[s + 1].
     For very long runs only a trailing window of states is retained;
     first_step gives the absolute step index of p_states[0].
+
+    values is the states' stacks as one read-only (len(self), N, n, n)
+    array. A trace is built from its states, whose stacks are stacked into
+    values, or, with p_states None, from values alone, as run_recursion
+    builds it; its states are then views of values, made when first read.
     """
 
     def __init__(self, p_states, gains, terminated: TerminationRecord,
-                 first_step: int = 0):
-        self.p_states = list(p_states)
+                 first_step: int = 0, values: np.ndarray | None = None):
+        if p_states is not None:
+            p_states = list(p_states)
+            values = stack_stacks([p.stack for p in p_states])
+            values.setflags(write=False)
+        self._p_states = p_states
+        self.values = values
         self.gains = list(gains)
         self.terminated = terminated
         self.first_step = first_step
 
     def __len__(self):
-        return len(self.p_states)
+        return len(self.values)
+
+    @property
+    def p_states(self) -> list[PTuple]:
+        if self._p_states is None:
+            self._p_states = list(map(PTuple._trusted, self.values))
+        return self._p_states
 
     @property
     def steps(self) -> int:
@@ -385,13 +408,40 @@ class ConvergenceStop:
             self._run = 0
         return self._run >= CONV_WINDOW
 
+    def _steps_to_fire(self, step: int) -> int:
+        """How many calls, starting with the one for `step`, the rule
+        needs at least before it can fire; run_recursion ends a block of
+        steps there at the latest."""
+        return CONV_WINDOW if step == 1 else CONV_WINDOW - self._run
 
-def _relative_change(P: np.ndarray, P_new: np.ndarray, norms: list) -> float:
-    """Largest agent change ||P^i - P_new^i||_F / (1 + norms[i]) of one
-    step, norms[i] being ||P^i||_F as a Python float."""
-    diff = (P - P_new).reshape(len(P), -1)
-    return max([math.sqrt(d) / (1.0 + a)
-                for d, a in zip(np.vecdot(diff, diff).tolist(), norms)])
+
+def _orbit_norms(values: np.ndarray) -> list[float]:
+    """Agent Frobenius norms of every state in a C-ordered (S, N, n, n)
+    stack as one flat list of Python floats, entry s * N + i being
+    ||V_s^i||_F: one vecdot for all of them (stack_norms' dot products),
+    then math.sqrt, which rounds as numpy's does."""
+    flat = values.reshape(values.shape[0] * values.shape[1], -1)
+    return list(map(math.sqrt, np.vecdot(flat, flat).tolist()))
+
+
+def _agent_max(flat, N: int) -> list[float]:
+    """The largest of each run of N consecutive entries of a flat iterable,
+    taken by Python's max as the per-state code takes it (a NaN counts
+    only in first place)."""
+    return list(map(max, zip(*[iter(flat)] * N)))
+
+
+def _orbit_changes(values: np.ndarray, norms: list) -> list[float]:
+    """Relative change of each step values[s] -> values[s + 1] of a
+    C-ordered (S, N, n, n) stack: the largest agent ||V_s^i - V_{s+1}^i||_F
+    / (1 + ||V_s^i||_F), norms being _orbit_norms(values). One subtraction
+    and one vecdot for all of them, finished in Python floats:
+    bit-identical to PTuple.distance of each pair."""
+    S, N, n = values.shape[:3]
+    diff = (values[:-1] - values[1:]).reshape((S - 1) * N, n * n)
+    scaled = map(truediv, map(math.sqrt, np.vecdot(diff, diff).tolist()),
+                 map((1.0).__add__, norms))
+    return _agent_max(scaled, N)
 
 
 def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
@@ -404,63 +454,107 @@ def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
     stage, or convergence under the stop rule; the termination record says
     which and carries the sup norm over every state visited, terminal
     included. Early stops are recorded, never raised.
+
+    Each step's values are copied into storage that grows CHUNK_STEPS
+    steps at a time; when the run ends the chunks are joined into the
+    trace's read-only values, which its states are views of. The norms,
+    changes and tests of a block of steps are taken together after it:
+    one vecdot gives every state's agent norms and, with a stop rule, one
+    subtraction and one vecdot every step's change. A block ends no later
+    than the first step at which the stop rule could fire, so a run that
+    completes or converges takes exactly its steps. Steps after a
+    divergence inside a block are discarded, and overflow or invalid
+    values met during the run do not warn.
     """
     ring = max_steps > FULL_STORAGE_LIMIT
-    states = deque(maxlen=RING_BUFFER_SIZE + 1) if ring else []
     gains = deque(maxlen=RING_BUFFER_SIZE) if ring else []
+    # A ring keeps the chunks that hold its states and the one being filled.
+    chunks = deque(maxlen=-(-RING_BUFFER_SIZE // CHUNK_STEPS) + 1
+                   if ring else None)
 
     p = terminal
-    states.append(p)
-    # Agent norms of the current state: the next step's distance
-    # denominators, computed once per state. Only the stacks are read, so
-    # no per-agent entries are built here. Each step takes its squared
-    # norms in one vecdot call (stack_norms' dot products) and finishes
-    # them in Python floats, which round sqrt and division as numpy does.
-    # The relative change costs a second vecdot, taken every step only
-    # when a stop rule reads it; without one, it is taken once at the end.
-    P = p.stack
-    rows = (len(P), -1)
-    norms = stack_norms(P).tolist()
-    sup = max(norms)
+    chunk = np.empty((min(max(max_steps, 0), CHUNK_STEPS) + 1,)
+                     + p.stack.shape)
+    chunk[0] = p.stack
+    chunks.append(chunk)
+    N = chunk.shape[1]
+    row = 0                     # chunk row of the last state kept
+    sup = max(_orbit_norms(chunk[:1]))
     reason = "completed"
     rel = float("inf")
     rcond = None
     steps = 0
-    for s in range(max_steps):
-        try:
-            p_new, k = riccati_step(p, game)
-        except SingularStageSystem as err:
-            reason = "singular"
-            rcond = err.rcond
-            break
-        P_new = p_new.stack
-        flat = P_new.reshape(rows)
-        new_norms = [math.sqrt(q) for q in np.vecdot(flat, flat).tolist()]
-        if stop is not None:
-            rel = _relative_change(P, P_new, norms)
-        states.append(p_new)
-        gains.append(k)
-        steps = s + 1
-        top = max(new_norms)
-        if top > sup:
-            sup = top
-        p, P, norms = p_new, P_new, new_norms
-        if top > DIVERGENCE_THRESHOLD:
-            reason = "diverged"
-            break
-        if stop is not None and stop(steps, rel):
-            reason = "converged"
-            break
+    # Overflow or invalid values in the steps a divergence discards must
+    # not warn; a kept step that meets them ends the run, diverged or
+    # singular, so the record says what a warning would.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while reason == "completed" and steps < max_steps:
+            if row == len(chunk) - 1:
+                last = chunk[row]
+                chunk = np.empty((min(max_steps - steps, CHUNK_STEPS) + 1,)
+                                 + last.shape)
+                chunk[0] = last
+                chunks.append(chunk)
+                row = 0
+            size = min(BLOCK_STEPS, max_steps - steps, len(chunk) - 1 - row)
+            if stop is not None:
+                size = min(size, stop._steps_to_fire(steps + 1))
+            new_gains = []
+            singular = None
+            try:
+                for slot in range(row + 1, row + size + 1):
+                    p, k = riccati_step(p, game)
+                    chunk[slot] = p.stack
+                    new_gains.append(k)
+            except SingularStageSystem as err:
+                singular = err
+            kept = taken = len(new_gains)
+            if taken:
+                block = chunk[row:row + taken + 1]
+                norms = _orbit_norms(block)
+                tops = _agent_max(norms[N:], N)
+                if stop is not None:
+                    changes = _orbit_changes(block, norms)
+            for j in range(taken):
+                top = tops[j]
+                if top > sup:
+                    sup = top
+                if top > DIVERGENCE_THRESHOLD:
+                    reason = "diverged"
+                    kept = j + 1
+                    break
+                if stop is not None and stop(steps + j + 1, changes[j]):
+                    reason = "converged"
+                    kept = j + 1
+                    break
+            else:
+                if singular is not None:
+                    reason = "singular"
+                    rcond = singular.rcond
+            gains.extend(new_gains[:kept])
+            if stop is not None and kept:
+                rel = changes[kept - 1]
+            steps += kept
+            row += kept
+
+    chunk.setflags(write=False)
+    values = chunk[:row + 1]
+    if len(chunks) > 1:
+        parts = list(chunks)
+        values = np.concatenate([parts[0]] + [c[1:] for c in parts[1:-1]]
+                                + [values[1:]])
+        values.setflags(write=False)
+    values = values[-(min(steps, RING_BUFFER_SIZE) if ring else steps) - 1:]
     if stop is None and steps:
-        before = states[-2].stack
-        rel = _relative_change(before, P, stack_norms(before).tolist())
+        tail = values[-2:]
+        rel = _orbit_changes(tail, _orbit_norms(tail))[0]
 
     record = TerminationRecord(
         reason=reason, steps=steps,
-        final_residual=rel if np.isfinite(rel) else -1.0, rcond=rcond,
+        final_residual=rel if math.isfinite(rel) else -1.0, rcond=rcond,
         sup_norm=sup)
-    first = steps + 1 - len(states)
-    return RecursionTrace(states, gains, record, first_step=first)
+    return RecursionTrace(None, gains, record,
+                          first_step=steps + 1 - len(values), values=values)
 
 
 def periodic_best_response(game: GameSpec, i: int, gain_cycle,

@@ -6,8 +6,9 @@ import pytest
 import lqgames as lq
 from lqgames.analysis import CYCLE_WINDOW, MAX_PERIOD, _minimal_period
 from lqgames.experiments import _rng_for, random_game
-from lqgames.riccati import (FULL_STORAGE_LIMIT, RING_BUFFER_SIZE,
-                             RecursionTrace, TerminationRecord)
+from lqgames.riccati import (CONV_WINDOW, FULL_STORAGE_LIMIT,
+                             RING_BUFFER_SIZE, RecursionTrace,
+                             TerminationRecord, _orbit_changes, _orbit_norms)
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -105,34 +106,92 @@ def test_detect_convergence_alternating_trace_returns_none():
     assert lq.detect_convergence(trace) is None
 
 
+def reference_convergence(trace):
+    """detect_convergence as a loop over PTuple.distance of each pair."""
+    states = trace.p_states
+    rule = lq.ConvergenceStop()
+    for s in range(len(states) - 1):
+        if rule(s + 1, states[s].distance(states[s + 1])):
+            return states[s + 1], trace.first_step + s + 1 - CONV_WINDOW
+    return None
+
+
+def _settling_at(step):
+    """A scalar trace whose steps change by 1 up to `step`, then not at
+    all: the rule fires CONV_WINDOW steps later."""
+    return synthetic_trace([lq.PTuple([float(min(s, step))])
+                            for s in range(step + 3 * CONV_WINDOW)])
+
+
+CONVERGENCE_TRACES = {
+    "constant": lambda: lq.run_recursion(
+        lq.GameSpec(0, [1, 1], [4, 9], [1, 1]), lq.PTuple([1.0, 1.0]), 30),
+    "scalar-lqr": lambda: lq.run_recursion(
+        lq.GameSpec(1, [1], [1], [1]), lq.PTuple([1.0]), 300),
+    "alternating": lambda: synthetic_trace(
+        [lq.PTuple([1.0]), lq.PTuple([2.0])] * 30),
+    "settles-at-300": lambda: _settling_at(300),
+    "fig1-10000": lambda: lq.run_recursion(
+        lq.GameSpec(5, [1, 1], [1, 1], [1, 2]), lq.PTuple([1.0, 1.0]),
+        10_000),
+    "bounded-10000": lambda: lq.run_recursion(
+        random_game(2, 2, 2, _rng_for(0, 0, 50)), lq.PTuple(
+            [np.eye(2), 2.0 * np.eye(2)]), 10_000),
+    "ring": lambda: lq.run_recursion(
+        lq.GameSpec(0.9, [1], [1], [1]), lq.PTuple([50.0]), 11_000),
+}
+
+
+@pytest.mark.parametrize("make", CONVERGENCE_TRACES.values(),
+                         ids=CONVERGENCE_TRACES.keys())
+def test_detect_convergence_matches_the_pairwise_loop(make):
+    trace = make()
+    found = lq.detect_convergence(trace)
+    expected = reference_convergence(trace)
+    if expected is None:
+        assert found is None
+    else:
+        assert found[0] is expected[0] and found[1] == expected[1]
+    # The changes it reads are PTuple.distance's, bit for bit.
+    values, states = trace.values, trace.p_states
+    changes = _orbit_changes(values, _orbit_norms(values))
+    pairwise = [a.distance(b) for a, b in zip(states, states[1:])]
+    assert np.array(changes).tobytes() == np.array(pairwise).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # cycle detection
+
+def period_of(states, max_period):
+    return _minimal_period(synthetic_trace(states).values, tol=1e-9,
+                           max_period=max_period, window=3)
+
 
 def test_minimal_period_scanner_period_two():
     x = lq.PTuple([1.0])
     y = lq.PTuple([2.0])
     states = [x, y] * 40
-    assert _minimal_period(states, tol=1e-9, max_period=10, window=3) == 2
+    assert period_of(states, 10) == 2
 
 
 def test_minimal_period_scanner_constant_is_one():
     states = [lq.PTuple([1.0])] * 50
-    assert _minimal_period(states, tol=1e-9, max_period=10, window=3) == 1
+    assert period_of(states, 10) == 1
 
 
 def test_minimal_period_scanner_minimality():
     # period 6 with no smaller divisor matching
     base = [lq.PTuple([float(v)]) for v in (1, 2, 3, 4, 5, 6)]
     states = base * 12
-    assert _minimal_period(states, tol=1e-9, max_period=12, window=3) == 6
+    assert period_of(states, 12) == 6
     # but a period-2 orbit embedded in a period-4 description is found as 2
     states = [lq.PTuple([1.0]), lq.PTuple([2.0])] * 24
-    assert _minimal_period(states, tol=1e-9, max_period=12, window=3) == 2
+    assert period_of(states, 12) == 2
 
 
 def test_minimal_period_scanner_needs_enough_states():
     states = [lq.PTuple([1.0]), lq.PTuple([2.0])] * 3
-    assert _minimal_period(states, tol=1e-9, max_period=50, window=3) in (2, None)
+    assert period_of(states, 50) in (2, None)
 
 
 def test_detect_cycle_constant_trace_is_none(fig1_game):
@@ -151,6 +210,16 @@ def test_detect_cycle_on_found_game(found_cycle):
     again = lq.detect_cycle(trace, game=game)
     assert again is not None
     assert again.period == cert.period
+
+
+def test_classification_keeps_no_view_of_its_trace(fig1_game, found_cycle):
+    # A trace's states are views of its storage; the states a
+    # classification keeps own their values, so they do not pin it.
+    verdict = lq.classify(fig1_game, lq.PTuple([1.0, 1.0]))
+    assert verdict.verdict == "converged"
+    assert verdict.fixed_point.stack.base is None
+    _, _, cert = found_cycle
+    assert all(p.stack.base is None for p in cert.phases)
 
 
 def test_classify_cycle_verdict(found_cycle):

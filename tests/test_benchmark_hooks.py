@@ -9,7 +9,7 @@ from pathlib import Path
 
 from lqgames import analysis, experiments, riccati
 from lqgames.analysis import ClassifyOptions
-from lqgames.model import PTuple
+from lqgames.model import GameSpec, PTuple
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -74,3 +74,9 @@ def test_recursion_steps_through_riccati_step(monkeypatch, fig1_game):
     calls.clear()
     assert analysis.classify(fig1_game, terminal, opts).verdict == "converged"
     assert len(calls) == trace.steps
+    # A divergence inside a block of steps discards the rest of the block.
+    calls.clear()
+    game = GameSpec(2, [[0]], [1], [1])
+    trace = riccati.run_recursion(game, PTuple([1.0]), 1_000)
+    assert trace.terminated.reason == "diverged"
+    assert trace.steps <= len(calls) < trace.steps + riccati.BLOCK_STEPS

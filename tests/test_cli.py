@@ -7,6 +7,7 @@ import pytest
 import lqgames as lq
 from lqgames import fileio
 from lqgames.cli import main, parse_config, UsageError
+from lqgames.experiments import _rng_for, random_game
 
 
 def assert_manifest_lists_every_file(out):
@@ -238,6 +239,27 @@ def test_equilibria_command_three_rows(tmp_path, fig1_files):
     lines = [l for l in (out / "equilibria.csv").read_text().splitlines()
              if l and not l.startswith("#")]
     assert len(lines) == 4      # header + 3 equilibria
+    assert_manifest_lists_every_file(out)
+
+
+def test_equilibria_command_reports_discarded_fixed_points(tmp_path,
+                                                           capsys):
+    # Descent on this (3, 3, 2) game also converges on two fixed points
+    # whose closed loop is unstable; the command says so and records the
+    # search metadata, while its first line keeps its form.
+    game_path = tmp_path / "game.json"
+    fileio.write_game(random_game(3, 3, 2, _rng_for(77, 1, 4)), game_path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["equilibria", "--game", str(game_path),
+                 "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()[-2:]
+    assert lines == ["1 stationary equilibria (descent)",
+                     "fixed points discarded: 2 unstable, "
+                     "0 failed verification"]
+    meta = json.loads((out / "manifest.json").read_text())["search_metadata"]
+    assert (meta["accepted"], meta["unstable_discarded"],
+            meta["verification_failed"]) == (1, 2, 0)
     assert_manifest_lists_every_file(out)
 
 

@@ -14,10 +14,15 @@ form, classify gives every valid game and terminal a verdict without
 raising, run_recursion's residual and sup norm (with a stop rule or
 without one, fully stored or in a ring buffer) and _minimal_period's
 period are those of the plain np.linalg.norm formulas and pair-by-pair
-scan, and a full-horizon trace's values are the costs of playing its
-gains (the dynamic-programming identity).
+scan, a full-horizon trace's values are the costs of playing its
+gains (the dynamic-programming identity), and run_recursion, which steps
+and checks in blocks over array storage, gives the states, gains and
+record of a step-by-step loop bit for bit, with one riccati_step call per
+step unless it diverges, and leaves its storage read-only.
 """
 
+import warnings
+from collections import deque
 from dataclasses import fields
 
 import numpy as np
@@ -28,8 +33,12 @@ from scipy.linalg import lu_factor, lu_solve
 import lqgames as lq
 from lqgames.analysis import (CYCLE_TOL, CYCLE_WINDOW, MAX_PERIOD,
                               _minimal_period)
-from lqgames.experiments import VERDICTS, random_game, random_terminal
-from lqgames.riccati import FULL_STORAGE_LIMIT, _stage_map_batch
+from lqgames.experiments import (VERDICTS, _rng_for, random_game,
+                                 random_terminal)
+from lqgames import riccati
+from lqgames.riccati import (BLOCK_STEPS, CHUNK_STEPS, DIVERGENCE_THRESHOLD,
+                             FULL_STORAGE_LIMIT, RING_BUFFER_SIZE,
+                             SingularStageSystem, _stage_map_batch)
 from lqgames.simulate import finite_horizon_cost, simulate
 
 CELLS = [(1, 1, 2), (2, 1, 3), (3, 3, 2)]
@@ -360,8 +369,9 @@ def reference_period(states, tol, max_period, window):
 
 
 def _periods(states):
-    return [f(states, CYCLE_TOL, MAX_PERIOD, CYCLE_WINDOW)
-            for f in (_minimal_period, reference_period)]
+    stacked = np.stack([p.stack for p in states])
+    return [_minimal_period(stacked, CYCLE_TOL, MAX_PERIOD, CYCLE_WINDOW),
+            reference_period(states, CYCLE_TOL, MAX_PERIOD, CYCLE_WINDOW)]
 
 
 @PROPERTY
@@ -428,3 +438,168 @@ def test_dynamic_programming_cost_identity(case, horizon, seed):
         direct = float(x0 @ np.asarray(value[i]) @ x0)
         played = horizon * finite_horizon_cost(traj, game, i, terminal)
         assert abs(played - direct) <= 1e-8 * (1.0 + abs(direct))
+
+
+# ---------------------------------------------------------------------------
+# the blocked recursion against a step-by-step loop
+
+def reference_recursion(game, terminal, max_steps, stop=None):
+    """run_recursion one step at a time: norms, change, divergence test and
+    stop rule after every step, through PTuple's own norm and distance."""
+    ring = max_steps > FULL_STORAGE_LIMIT
+    states = deque([terminal],
+                   maxlen=RING_BUFFER_SIZE + 1 if ring else None)
+    gains = deque(maxlen=RING_BUFFER_SIZE if ring else None)
+    p, sup, steps = terminal, terminal.max_norm(), 0
+    reason, rel, rcond = "completed", float("inf"), None
+    for s in range(max_steps):
+        try:
+            p_new, k = lq.riccati_step(p, game)
+        except SingularStageSystem as err:
+            reason, rcond = "singular", err.rcond
+            break
+        rel = p.distance(p_new)
+        states.append(p_new)
+        gains.append(k)
+        steps, p = s + 1, p_new
+        sup = max(sup, p.max_norm())
+        if p.max_norm() > DIVERGENCE_THRESHOLD:
+            reason = "diverged"
+            break
+        if stop is not None and stop(steps, rel):
+            reason = "converged"
+            break
+    record = lq.TerminationRecord(reason, steps,
+                                  rel if np.isfinite(rel) else -1.0, rcond,
+                                  sup)
+    return lq.RecursionTrace(states, gains, record, steps + 1 - len(states))
+
+
+def _assert_same_trace(got, want):
+    """States, gain stacks and every record field equal bit for bit."""
+    assert got.first_step == want.first_step
+    assert _same([p.stack for p in got.p_states],
+                 [p.stack for p in want.p_states])
+    assert got.values.tobytes() == want.values.tobytes()
+    assert _same([k.stack for k in got.gains], [k.stack for k in want.gains])
+    _assert_same_record(got.terminated, want.terminated)
+
+
+STOPS = {"no-stop": lambda: None,
+         "convergence-stop": lq.ConvergenceStop,
+         "never-fires": lambda: lq.ConvergenceStop(0.0)}
+
+
+def _check_against_reference(game, terminal, horizon, shared, monkeypatch):
+    """Every stop variant, a fresh rule and the shared one, against the
+    step-by-step loop; returns the traces and riccati_step calls."""
+    calls = []
+    step = riccati.riccati_step
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return step(*args, **kwargs)
+
+    runs = {}
+    for name, make in STOPS.items():
+        want = reference_recursion(game, terminal, horizon, make())
+        monkeypatch.setattr(riccati, "riccati_step", counting)
+        calls.clear()
+        got = lq.run_recursion(game, terminal, horizon, make())
+        monkeypatch.setattr(riccati, "riccati_step", step)
+        _assert_same_trace(got, want)
+        runs[name] = got, len(calls)
+    again = lq.run_recursion(game, terminal, horizon, shared)
+    _assert_same_trace(again, runs["convergence-stop"][0])
+    return runs
+
+
+@pytest.fixture(scope="module")
+def shared_stop():
+    """One rule reused across every run of the module's recursion cases."""
+    return lq.ConvergenceStop()
+
+
+@pytest.mark.parametrize("game, terminal, horizon, expect", [
+    # Fig. 1 from [1, 1]: converges at step 24 under the stop rule.
+    (lq.GameSpec(5, [1, 1], [1, 1], [1, 2]), [1.0, 1.0], 1_000,
+     ("converged", 24, 0)),
+    # P grows by A^2 every step.
+    (lq.GameSpec(2, [[0]], [1], [1]), [1.0], 1_000, ("diverged", 20, 0)),
+    # Diverges at step 1; the steps its block takes after it overflow.
+    (lq.GameSpec(1e6, [[0]], [1], [1]), [1.0], 1_000, ("diverged", 1, 0)),
+    # Beyond FULL_STORAGE_LIMIT: a ring of 513 states when it diverges.
+    (lq.GameSpec(1.02, [[0]], [1], [1]), [1.0], 20_000,
+     ("diverged", 616, 104)),
+    # The stage matrix at the first image, Q, is exactly singular.
+    (lq.GameSpec(0, [1, 1], [-0.5, -0.5], [1, 1]), [1.0, 1.0], 1_000,
+     ("singular", 1, 0)),
+], ids=["fig1", "diverged", "diverged-at-once", "ring-diverged", "singular"])
+def test_blocked_recursion_matches_step_by_step(game, terminal, horizon,
+                                                expect, shared_stop,
+                                                monkeypatch):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runs = _check_against_reference(game, lq.PTuple(terminal), horizon,
+                                         shared_stop, monkeypatch)
+    trace, calls = runs["convergence-stop"]
+    assert (trace.terminated.reason, trace.steps, trace.first_step) == expect
+    for trace, calls in runs.values():
+        if trace.terminated.reason in ("completed", "converged"):
+            assert calls == trace.steps
+        elif trace.terminated.reason == "singular":
+            assert calls == trace.steps + 1
+        else:
+            assert trace.steps <= calls < trace.steps + BLOCK_STEPS
+
+
+def test_blocked_recursion_matches_step_by_step_on_a_cycle(found_cycle,
+                                                           shared_stop,
+                                                           monkeypatch):
+    # A ring of states past chunk edges, every step taken.
+    game, terminal, _ = found_cycle
+    runs = _check_against_reference(game, terminal, FULL_STORAGE_LIMIT + 3,
+                                    shared_stop, monkeypatch)
+    for trace, calls in runs.values():
+        assert trace.terminated.reason == "completed"
+        assert calls == trace.steps == FULL_STORAGE_LIMIT + 3
+        assert len(trace) == RING_BUFFER_SIZE + 1
+
+
+@PROPERTY
+@given(st.one_of(games(), mixed_games()), st.integers(0, 300))
+def test_blocked_recursion_matches_step_by_step_on_random_games(case,
+                                                                horizon):
+    game, terminal = case
+    for make in STOPS.values():
+        _assert_same_trace(lq.run_recursion(game, terminal, horizon, make()),
+                           reference_recursion(game, terminal, horizon,
+                                               make()))
+
+
+@pytest.mark.parametrize("horizon", [30, 3 * CHUNK_STEPS + 5,
+                                     FULL_STORAGE_LIMIT + 3])
+def test_finished_trace_storage_is_read_only(fig1_game, horizon):
+    trace = lq.run_recursion(fig1_game, lq.PTuple([1.0, 2.0]), horizon)
+    assert len(trace.values) == len(trace)
+    for stack in (trace.values, trace.p_states[1].stack,
+                  trace.p_states[-1].stack):
+        with pytest.raises(ValueError):
+            stack[0] = 0.0
+        with pytest.raises(ValueError):
+            stack.setflags(write=True)
+    # The states are views of the storage, not copies.
+    assert trace.p_states[-1].stack.base is not None
+
+
+def test_long_trace_holds_its_states_once():
+    # 10 000 steps fill 40 chunks, joined once when the run ends: the
+    # values own one array of exactly the states, and every state is a
+    # view of it, so no chunk outlives the run.
+    rng = _rng_for(0, 2, 0)
+    game = random_game(3, 3, 2, rng)
+    trace = lq.run_recursion(game, random_terminal(game, rng), 10_000)
+    assert trace.terminated.reason == "completed"
+    storage = trace.values.base
+    assert storage.nbytes == trace.values.nbytes == 10_001 * 2 * 9 * 8
+    assert all(p.stack.base is storage for p in trace.p_states)
