@@ -22,6 +22,7 @@ records the search metadata.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -114,7 +115,11 @@ class UsageError(Exception):
     pass
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on first use and reused: parsing
+    keeps no state in it, and building its nine subparsers takes over a
+    millisecond, a few percent of a short in-process command."""
     parser = argparse.ArgumentParser(
         prog="lqgames",
         description="LQ-game recursion experiments: equilibria, cycles, "

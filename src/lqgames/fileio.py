@@ -127,9 +127,10 @@ class _Text:
 def _write_rows(fh, rows) -> None:
     """Rows of str cells as comma-separated lines ending in \\r\\n: what
     csv.writer writes for cells that need no quoting, as no header name,
-    integer or float repr here does. Lines go to the file's buffer one at
-    a time, so a chunk's text is never held whole."""
-    fh.writelines(",".join(row) + "\r\n" for row in rows)
+    integer or float repr here does. A chunk's lines are joined into one
+    string and written in one call; no rows write nothing."""
+    if rows:
+        fh.write("\r\n".join(map(",".join, rows)) + "\r\n")
 
 
 def _write_table(path, provenance, header, rows) -> None:

@@ -69,8 +69,11 @@ def _rel_asymmetry(m: np.ndarray) -> float:
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto symmetric matrices, (M + M') / 2, of a
-    matrix or of every matrix in a stack."""
-    return 0.5 * (m + m.swapaxes(-1, -2))
+    float matrix or of every matrix in a stack: the sum is formed once and
+    halved in place, which rounds as 0.5 * (M + M') does."""
+    s = m + m.mT
+    s *= 0.5
+    return s
 
 
 def frobenius(m: np.ndarray) -> float:
@@ -256,9 +259,9 @@ class PTuple(_MatrixTuple):
     def _trusted(cls, stack):
         """Wrap a freshly computed, exactly symmetric (N, n, n) stack
         without copying it; it is frozen in place."""
-        stack.setflags(write=False)
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "_stack", stack)
+        stack.setflags(False)   # write=False, without keyword parsing
+        obj = _new(cls)
+        _set_stack(obj, stack)
         return obj
 
     def _views(self):
@@ -306,10 +309,10 @@ class GainTuple(_MatrixTuple):
     def _trusted(cls, solve, rows):
         """Wrap a freshly computed stacked gain solve, whose rows rows[i]
         are agent i's gain, without copying it; it is frozen in place."""
-        solve.setflags(write=False)
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "_solve", solve)
-        object.__setattr__(obj, "rows", rows)
+        solve.setflags(False)   # write=False, without keyword parsing
+        obj = _new(cls)
+        _set_solve(obj, solve)
+        _set_rows(obj, rows)
         return obj
 
     def _views(self):
@@ -325,6 +328,13 @@ class GainTuple(_MatrixTuple):
             solve.setflags(write=False)
             object.__setattr__(self, "_solve", solve)
         return self._solve
+
+
+# What the _trusted constructors call: the slot descriptors' own setters
+# skip the immutable __setattr__ and the attribute lookup by name.
+_new = object.__new__
+_set_stack = PTuple._stack.__set__
+_set_solve, _set_rows = GainTuple._solve.__set__, GainTuple.rows.__set__
 
 
 @dataclass

@@ -239,15 +239,22 @@ class _Stage:
     rows         agent i's rows of the stacked gain system, as slices
     padded_rows  where those rows sit among the N * mb padded rows, or
                  None when every m_i is mb and there is no padding
+    N            number of agents
+    total        sum m, the width of the gain system's coefficient block
+    system_shape (N * mb, sum m + n), the padded [M | rhs] of one stack
+    gain_shape   (N, mb, n), the padded gains of one stack
     """
 
     __slots__ = ("A", "BT", "B", "BsA", "R_block", "R", "Q", "rows",
-                 "padded_rows")
+                 "padded_rows", "N", "total", "system_shape", "gain_shape")
 
     def __init__(self, A, B, Q, R):
         N, n = len(B), A.shape[0]
         dims = [b.shape[1] for b in B]
         mb, total = max(dims), sum(dims)
+        self.N, self.total = N, total
+        self.system_shape = (N * mb, total + n)
+        self.gain_shape = (N, mb, n)
         self.A = A
         self.B = np.zeros((N, n, mb))
         self.R = np.zeros((N, mb, mb))
@@ -294,45 +301,51 @@ def _stage_map(stage: _Stage, P: np.ndarray):
     batch goes through stacked np.linalg.solve and raises nothing: an
     exactly singular member comes back non-finite. Then forms Acl = A -
     B^1 K^1 - B^2 K^2 - ... in that order and updates every agent through
-    Q^i + ((K^i)' R^i) K^i + (Acl' P^i) Acl, symmetrized. Returns values
+    ((K^i)' R^i) K^i + Q^i + (Acl' P^i) Acl, symmetrized. Returns values
     shaped like P and each stack's (sum m, n) stacked gains, whose rows
     stage.rows[i] are K^i.
     """
-    total = len(stage.R_block)
-    N, n, mb = stage.B.shape
-    lead = P.shape[:-3]
-    system = (stage.BT @ P @ stage.BsA).reshape(lead + (N * mb, total + n))
+    total = stage.total
+    batch = P.ndim > 3
+    lead = P.shape[:1] if batch else ()
+    system = (stage.BT @ P @ stage.BsA).reshape(lead + stage.system_shape)
     if stage.padded_rows is not None:
         system = system[..., stage.padded_rows, :]
     M = system[..., :total]
     M += stage.R_block
-    if lead:
+    if batch:
         gains = _solve_each(M, system[..., total:])
     else:
         anorm = _lange("1", M)
         lu, _, gains, info = _gesv(M, system[:, total:])
         if info != 0 or not math.isfinite(anorm):
             raise SingularStageSystem(0.0)
-        rcond = float(_gecon(lu, anorm, "1")[0])
+        rcond = _gecon(lu, anorm, "1")[0]
         if rcond < SINGULARITY_RCOND:
-            raise SingularStageSystem(rcond)
+            raise SingularStageSystem(float(rcond))
 
     if stage.padded_rows is None:
-        K = gains.reshape(lead + (N, mb, n))
+        K = gains.reshape(lead + stage.gain_shape)
     else:
+        N, mb, n = stage.gain_shape
         K = np.zeros(lead + (N * mb, n))
         K[..., stage.padded_rows, :] = gains
-        K = K.reshape(lead + (N, mb, n))
+        K = K.reshape(lead + stage.gain_shape)
     # Subtract B^j K^j one agent at a time, never as A - [B^1 ... B^N] K:
     # a re-associated map leaves saddle equilibria such as Fig. 1's with
     # no exactly stationary float neighbour for pinning.
     BK = stage.B @ K
-    Acl = stage.A - BK[..., 0, :, :]
-    for j in range(1, N):
-        Acl -= BK[..., j, :, :]
-    if lead:                    # a unit agent axis to broadcast over P
-        Acl = Acl[..., None, :, :]
-    values = stage.Q + K.mT @ stage.R @ K
+    if batch:                   # agent axis first, so BK[j] is agent j's
+        BK = BK.swapaxes(0, 1)
+    Acl = stage.A - BK[0]
+    for j in range(1, stage.N):
+        Acl -= BK[j]
+    if batch:                   # a unit agent axis to broadcast over P
+        Acl = Acl[:, None]
+    # Q is added onto the fresh K'RK product: Q + x and x + Q are the
+    # same float.
+    values = K.mT @ stage.R @ K
+    values += stage.Q
     values += Acl.mT @ P @ Acl
     return symmetrize(values), gains
 
@@ -504,7 +517,7 @@ def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
             try:
                 for slot in range(row + 1, row + size + 1):
                     p, k = riccati_step(p, game)
-                    chunk[slot] = p.stack
+                    chunk[slot] = p._stack
                     new_gains.append(k)
             except SingularStageSystem as err:
                 singular = err

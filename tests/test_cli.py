@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import lqgames as lq
-from lqgames import fileio
+from lqgames import cli, fileio
 from lqgames.cli import main, parse_config, UsageError
 from lqgames.experiments import _rng_for, random_game
 
@@ -121,6 +121,37 @@ def test_argparse_exit_status_is_returned(tmp_path, monkeypatch, capsys,
     captured = capsys.readouterr()
     assert message in (captured.err if code else captured.out)
     assert not any(tmp_path.iterdir())
+
+
+def test_one_parser_serves_every_call(tmp_path, monkeypatch, capsys,
+                                      fig1_game):
+    """main keeps one parser per process: a run, a usage error, --help and a
+    second run each give the exit code and output that a fresh parser
+    gives, and the two runs write the same trace."""
+    run = ["run", "--game", "fig1.json", "--terminal", "terminal.json",
+           "--horizon", "300", "--conv-tol", "0", "--out", "o"]
+    calls = [run, ["run", "--horizon"], ["--help"], run]
+
+    def session(where, fresh):
+        where.mkdir()
+        monkeypatch.chdir(where)
+        fileio.write_game(fig1_game, "fig1.json")
+        fileio.write_ptuple(lq.PTuple([1.0, 2.0]), "terminal.json")
+        results = []
+        for argv in calls:
+            if fresh:
+                cli._build_parser.cache_clear()
+            results.append((main(argv), capsys.readouterr()))
+        return results
+
+    shared = session(tmp_path / "shared", fresh=False)
+    assert cli._build_parser() is cli._build_parser()
+    fresh = session(tmp_path / "fresh", fresh=True)
+    assert [code for code, _ in shared] == [0, 2, 0, 0]
+    assert shared == fresh
+    traces = [tmp_path / side / out / "trace.csv"
+              for side in ("shared", "fresh") for out in ("o", "o-2")]
+    assert len({t.read_bytes() for t in traces}) == 1
 
 
 def test_removed_config_key_is_unknown(tmp_path, fig1_files, capsys):

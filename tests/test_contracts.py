@@ -5,7 +5,8 @@ detect_convergence finds on the full trace, riccati_step's value
 matrices come back exactly symmetric and, like its gains, read-only, the
 norm helpers reproduce np.linalg.norm bit for bit, and riccati_step
 matches the stage map written out agent by agent, on games whose agents
-have equal input dimensions and on games where they differ, the stage
+have equal input dimensions and on games where they differ, and equals a
+frozen copy of the single-stack stage arithmetic byte for byte, the stage
 map over a batch of value stacks gives each member what riccati_step
 gives it (bit for bit for scalar games) with an exactly singular member
 left non-finite on its own, the gains solve the stacked stage system to
@@ -194,6 +195,74 @@ def test_riccati_step_matches_reference_per_agent(case, steps):
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
     for m in image:
         assert np.array_equal(m, m.T)
+
+
+def frozen_stage_step(p, game):
+    """A frozen copy of the single-stack stage map's arithmetic: the same
+    numpy and LAPACK calls on the same array layouts, in the same order
+    (the stacked gain system, gathered out of the agents' padded rows when
+    their widths differ, one gesv, the closed loop one agent at a time,
+    Q + K'RK + Acl'PAcl, then 0.5 * (V + V')). Raises SingularStageSystem
+    where the step must."""
+    N, n, dims = game.num_agents, game.n, game.input_dims
+    mb, total = max(dims), sum(dims)
+    B, R = np.zeros((N, n, mb)), np.zeros((N, mb, mb))
+    R_block = np.zeros((total, total))
+    ends = np.cumsum((0,) + dims)
+    for i, (b, r, m) in enumerate(zip(game.B, game.R, dims)):
+        B[i, :, :m], R[i, :m, :m] = b, r
+        R_block[ends[i]:ends[i + 1], ends[i]:ends[i + 1]] = r
+    padded = total != N * mb
+    real = np.concatenate([np.arange(i * mb, i * mb + m)
+                           for i, m in enumerate(dims)])
+    P = p.stack
+    system = (B.transpose(0, 2, 1) @ P @ np.hstack([*game.B, game.A]))
+    system = system.reshape(N * mb, total + n)
+    if padded:
+        system = system[real, :]
+    M = system[:, :total]
+    M += R_block
+    anorm = riccati._lange("1", M)
+    lu, _, gains, info = riccati._gesv(M, system[:, total:])
+    if info != 0 or not np.isfinite(anorm):
+        raise SingularStageSystem(0.0)
+    rcond = float(riccati._gecon(lu, anorm, "1")[0])
+    if rcond < riccati.SINGULARITY_RCOND:
+        raise SingularStageSystem(rcond)
+    if padded:
+        K = np.zeros((N * mb, n))
+        K[real, :] = gains
+        K = K.reshape(N, mb, n)
+    else:
+        K = gains.reshape(N, mb, n)
+    BK = B @ K
+    Acl = game.A - BK[..., 0, :, :]
+    for j in range(1, N):
+        Acl -= BK[..., j, :, :]
+    values = np.stack(game.Q) + K.mT @ R @ K
+    values += Acl.mT @ P @ Acl
+    return 0.5 * (values + values.swapaxes(-1, -2)), gains
+
+
+@PROPERTY
+@given(st.one_of(games(), mixed_games()), st.integers(0, 3))
+def test_riccati_step_bits_match_frozen_stage_step(case, steps):
+    """Byte equality at every n, not just the n = 1 of the reference test
+    above: a re-associated product or reordered sum would change bits."""
+    game, p = case
+    q = p
+    for _ in range(steps + 1):
+        try:
+            want_values, want_gains = frozen_stage_step(q, game)
+        except SingularStageSystem as err:
+            with pytest.raises(SingularStageSystem) as got:
+                lq.riccati_step(p, game)
+            assert got.value.rcond == err.rcond
+            return
+        p, gains = lq.riccati_step(p, game)
+        assert p.stack.tobytes() == want_values.tobytes()
+        assert gains.stack.tobytes() == want_gains.tobytes()
+        q = lq.PTuple._trusted(want_values)
 
 
 # A batch of one, of two, and one longer than any SIMD width.

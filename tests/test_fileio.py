@@ -488,3 +488,15 @@ def test_float_round_trip_through_csv_repr():
     values = [np.pi, 1 / 3, 1e-17, 123456.789012345678]
     for v in values:
         assert float(repr(v)) == v
+
+
+def test_write_rows_writes_nothing_for_no_rows(tmp_path):
+    path = tmp_path / "rows.csv"
+    with open(path, "w", newline="") as fh:
+        fileio._write_rows(fh, [])
+        fileio._write_rows(fh, [["a", "b"], ["1", "2.5"]])
+        fileio._write_rows(fh, [])
+    with open(tmp_path / "oracle.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows([["a", "b"], ["1", "2.5"]])
+    assert path.read_bytes() == b"a,b\r\n1,2.5\r\n"
+    assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes()
