@@ -2,12 +2,12 @@
 
 Multiple stationary equilibria is the basic multi-agent surprise: the
 same game supports several mutually-consistent stationary policies. The
-scalar enumerator brackets all of them algebraically (no recursion
-involved), certifies each as a Nash equilibrium by its period-1 cycle
-certificate (every agent's best response against the others' frozen
-gains reproduces its value), and demonstrates terminal-cost selection:
-using any equilibrium as the terminal cost pins the whole finite-horizon
-solution to it.
+scalar enumerator finds all of them from the roots of one polynomial in
+D = 1 + s_1 P^1 + s_2 P^2 (no recursion involved), certifies each as a
+Nash equilibrium by its period-1 cycle certificate (every agent's best
+response against the others' frozen gains reproduces its value), and
+demonstrates terminal-cost selection: using any equilibrium as the
+terminal cost pins the whole finite-horizon solution to it.
 """
 
 import numpy as np
@@ -16,9 +16,9 @@ import lqgames as lq
 
 game = lq.GameSpec(A=5, B=[1, 1], Q=[1, 1], R=[1, 2])
 eqs = lq.scalar_two_agent_equilibria(game)
-print(f"found {len(eqs)} stationary equilibria "
-      f"(scan metadata: {eqs.search_metadata['candidate_cells']} candidate "
-      f"cells)")
+meta = eqs.search_metadata
+print(f"found {len(eqs)} stationary equilibria from {meta['starts']} "
+      f"starts at {meta['d_roots']} roots D > |a| of the reduction")
 
 for idx, pt in enumerate(eqs):
     p1, p2 = (float(np.asarray(m)[0, 0]) for m in pt.p)

@@ -10,10 +10,10 @@ equilibria, and some orbits stay bounded without ever settling.
 from .model import (GainTuple, GameSpec, PTuple, TerminalReport,
                     ValidationReport, pbh_stabilizable, validate_game,
                     validate_terminal)
-from .riccati import (ConvergenceStop, NoConvergence, NotStabilizable,
-                      RecursionTrace, SingularStageSystem, TerminationRecord,
-                      best_response_dare, closed_loop, partial_closed_loop,
-                      periodic_best_response, riccati_step, run_recursion)
+from .riccati import (ConvergenceStop, NoConvergence, RecursionTrace,
+                      SingularStageSystem, TerminationRecord, closed_loop,
+                      partial_closed_loop, periodic_best_response,
+                      riccati_step, run_recursion)
 from .analysis import (CertificationFailed, Classification, ClassifyOptions,
                        CycleCertificate, classify, detect_convergence,
                        detect_cycle, fixed_point_residual, spectral_radius,
@@ -36,8 +36,7 @@ __all__ = [
     "TerminalReport", "validate_terminal", "pbh_stabilizable",
     "RecursionTrace", "TerminationRecord", "ConvergenceStop", "riccati_step",
     "run_recursion", "closed_loop", "partial_closed_loop",
-    "best_response_dare", "periodic_best_response", "SingularStageSystem",
-    "NotStabilizable", "NoConvergence",
+    "periodic_best_response", "SingularStageSystem", "NoConvergence",
     "Classification", "ClassifyOptions", "CycleCertificate",
     "CertificationFailed", "classify", "detect_convergence", "detect_cycle",
     "fixed_point_residual", "spectral_radius", "verify_cycle",

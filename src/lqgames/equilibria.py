@@ -2,11 +2,12 @@
 
 Two routes that avoid iterating the backward recursion:
 
-* scalar_two_agent_equilibria - the scalar two-agent case is a pair of
-  coupled scalar fixed-point equations; all positive real solutions are
-  bracketed by sign changes of the stage map's residual on a wide
-  logarithmic grid and polished by a damped 2-D Newton, so equilibria the
-  recursion never reaches (saddles) are found too.
+* scalar_two_agent_equilibria - the scalar two-agent case reduces to
+  one unknown, D = 1 + s_1 P^1 + s_2 P^2 with s_i = B^i (R^i)^-1 B^i':
+  every fixed point's D is a root of one degree-7 polynomial. Each real
+  root is mapped back to (P^1, P^2) and polished by a damped 2-D Newton
+  on the engine's stage map, so equilibria the recursion never reaches
+  (saddles) are found too, at any scale.
 * residual_descent_search - general dimensions; drives the fixed-point
   residual of the stage map to zero by damped Gauss-Newton from a set of
   initializations. The objective is sum_i ||P^i - f(P)^i||_F^2 with f the
@@ -31,13 +32,11 @@ from .riccati import (SingularStageSystem, _one_blas_thread, _solve_each,
 
 # Points closer than this (relative) are considered the same equilibrium.
 DEDUP_TOL = 1e-6
-# The scalar enumeration's logarithmic grid: its range in each of P^1
-# and P^2, its points per axis, and the batches it is evaluated in, which
-# bound its memory.
-GRID_MIN = 1e-4
-GRID_MAX = 1e6
-GRID_POINTS = 200
-GRID_BANDS = 8
+# The scalar enumeration maps a root D of its polynomial back through a
+# sign pattern when that pattern gives D back within this, relative:
+# np.roots returns a near-double root only to about sqrt(eps), and the
+# Newton polish decides every start that passes.
+ROOT_TOL = 1e-6
 # Half-width, in ulps per axis, of the lattice searched for a point the
 # stage map holds exactly stationary.
 PIN_MAX_ULPS = 60
@@ -114,10 +113,10 @@ def _newton(game: GameSpec, x: np.ndarray, pin: bool = False):
     over a (K, 2) array of positive starts. The Jacobian is a forward
     difference with step 1e-7 (1 + |x_j|); a step is halved until the
     residual norm falls (or the factor is below 1e-6) with every entry
-    positive and finite. A start stops where no step passes, after 80
-    steps, or once max |f(x) - x| / (1 + |x|) is below 1e-12 or, with
-    pin=True, zero or its relative step below 1e-14. Returns the last
-    iterates and the mask of those with residual below 1e-12."""
+    positive and finite. A start stops where no step passes or moves it,
+    after 80 steps, or once max |f(x) - x| / (1 + |x|) is below 1e-12
+    or, with pin=True, zero or its relative step below 1e-14. Returns the
+    last iterates and the mask of those with residual below 1e-12."""
     x = np.array(x, dtype=float)
     f = _image(game, x) - x
     live = np.ones(len(x), dtype=bool)
@@ -146,8 +145,9 @@ def _newton(game: GameSpec, x: np.ndarray, pin: bool = False):
             fc = _image(game, np.where(ok[:, None], cand, x)) - cand
             ok &= np.all(np.isfinite(fc), axis=1) & (
                 (np.linalg.norm(fc, axis=1) < norm) | (t < 1e-6))
+            # A step that leaves x unchanged would only repeat itself.
+            live |= ok & np.any(cand != x, axis=1)
             x[ok], f[ok] = cand[ok], fc[ok]
-            live |= ok
             todo &= ~ok
             t[todo] *= 0.5
     return x, np.max(np.abs(f) / (1.0 + np.abs(x)), axis=1) < 1e-12
@@ -194,62 +194,80 @@ def _pin_to_stage_map(game: GameSpec, x: np.ndarray) -> tuple[float, float]:
 def scalar_two_agent_equilibria(game: GameSpec) -> EquilibriumSet:
     """Enumerate all stationary equilibria of a scalar two-agent game.
 
-    Evaluates the engine's stage map on a GRID_POINTS x GRID_POINTS
-    logarithmic grid of (P1, P2) in [GRID_MIN, GRID_MAX]^2, in GRID_BANDS
-    batches, keeps the cells where both residual components change sign,
-    polishes their centres by one batched Newton, deduplicates, and
-    verifies. The roots are refined until the same map holds each exactly
-    stationary (see _pin_to_stage_map), so the points double as
-    recursion-pinning terminal costs. Unstable fixed points
-    (|Acl| >= 1) are not equilibria and are only counted in the metadata.
+    With s_i = B^i (R^i)^-1 B^i' and D = 1 + s_1 P^1 + s_2 P^2, so that
+    Acl = a / D, agent i's fixed-point equation is a^2 s_i (P^i)^2 +
+    (a^2 - D^2) P^i + q_i D^2 = 0. Its roots are s_i P^i = (e + sigma_i
+    r_i) / (2 a^2) with e = D^2 - a^2, r_i^2 = e^2 - 4 a^2 s_i q_i D^2 and
+    sigma_i = +-1, so every fixed point has c + sigma_1 r_1 + sigma_2 r_2
+    = 0 with c = 2D (D - a^2). The product over the four sign patterns,
+    (c^2 + r_1^2 - r_2^2)^2 - 4 c^2 r_1^2, is a polynomial in D whose
+    roots hold every fixed point's D: the search is complete. Its degree
+    is 7, with a double root at 0, and a positive P^i needs D > |a|, so a
+    game has at most five positive fixed points (mirror points sharing a
+    D make it a multiple root). Each root's real part above |a| is mapped
+    back to (P^1, P^2) through every sign pattern that gives D back
+    within ROOT_TOL; the small root is taken as 2 q_i D^2 / (e + r_i),
+    which keeps its digits when e >> a^2 s_i q_i and holds for s_i = 0.
+    At a = 0 the polynomial vanishes and Q, the small roots at
+    D = 1 + s_1 q_1 + s_2 q_2, is the only fixed point.
+
+    One batched Newton on the engine's stage map polishes the starts. The
+    distinct points it reaches are pinned so that the same map holds each
+    exactly stationary (see _pin_to_stage_map), which makes them
+    recursion-pinning terminal costs, and certified. Near a fold, where
+    two equilibria merge, np.roots returns the near-double root only to
+    about sqrt(eps), as two close roots or a complex pair; Newton takes
+    each start onto an equilibrium or it is dropped. Unstable fixed
+    points (|Acl| >= 1) are only counted. Metadata: d_roots (roots with
+    real part above |a|), starts (the root and sign-pattern pairs that
+    pass), roots_polished, unstable_discarded and verification_failed.
     Raises NoEquilibriumFound when nothing verifies.
     """
     if game.n != 1 or game.num_agents != 2:
         raise ValueError("enumeration requires n = 1 and exactly two agents")
 
-    axis = np.logspace(np.log10(GRID_MIN), np.log10(GRID_MAX), GRID_POINTS)
-    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
-    F = np.concatenate([_image(game, band) - band for band in np.array_split(
-        grid.reshape(-1, 2), GRID_BANDS)]).reshape(grid.shape)
+    a = float(game.A[0, 0])
+    s = np.array([(B @ np.linalg.solve(R, B.T))[0, 0]
+                  for B, R in zip(game.B, game.R)])
+    q = np.array([Q[0, 0] for Q in game.Q])
+    a2 = a * a
+    if a2:
+        e, c = np.poly1d([1.0, 0.0, -a2]), np.poly1d([2.0, -2.0 * a2, 0.0])
+        r1, r2 = (e * e - np.poly1d([4.0 * a2 * k, 0.0, 0.0]) for k in s * q)
+        u = c * c + r1 - r2
+        D = (u * u - 4.0 * c * c * r1).roots.real
+        D = D[D > abs(a)]
+    else:
+        D = np.array([1.0 + s @ q])
 
-    def corners(a):
-        return a[:-1, :-1], a[1:, :-1], a[:-1, 1:], a[1:, 1:]
+    # Both roots of each agent's quadratic at every D, the large one where
+    # a^2 s_i > 0, and the four sign patterns made of them.
+    D2 = (D * D)[:, None]
+    e = D2 - a2
+    r = np.sqrt(np.maximum(e * e - 4.0 * a2 * s * q * D2, 0.0))
+    small = 2.0 * q * D2 / (e + r)
+    large = np.divide(e + r, 2.0 * a2 * s, out=np.full_like(r, np.nan),
+                      where=a2 * s > 0.0)
+    x = np.concatenate([np.stack([one[:, 0], two[:, 1]], axis=1)
+                        for one in (small, large) for two in (small, large)])
+    d = np.tile(D, 4)
+    x = x[np.isfinite(x).all(axis=1) & (abs(1.0 + x @ s - d) <= ROOT_TOL * d)]
 
-    # Cells whose corners are all finite and where both residual
-    # components take more than one sign.
-    c00, *others = corners(np.sign(F))
-    mixed = ~np.logical_and.reduce([c00 == c for c in others])
-    finite = np.logical_and.reduce(corners(np.all(np.isfinite(F), axis=-1)))
-    cells = np.argwhere(finite & np.all(mixed, axis=-1))
-
-    centres = np.sqrt(axis[cells] * axis[cells + 1])   # geometric
-    polished, converged = _newton(game, centres)
+    polished, converged = _newton(game, x, pin=True)
     roots: list[np.ndarray] = []
     for root in polished[converged]:
         if all(np.max(np.abs(root - r) / (1.0 + np.abs(r))) > DEDUP_TOL
                for r in roots):
             roots.append(root)
-    roots.sort(key=lambda r: (r[0], r[1]))
-    if roots:
-        refined, _ = _newton(game, np.array(roots), pin=True)
-        roots = [_pin_to_stage_map(game, x) for x in refined]
+    roots = sorted(_pin_to_stage_map(game, root) for root in roots)
 
-    points, unstable, failed = _certify(
-        game, [PTuple([root[0], root[1]]) for root in roots])
-    metadata = {
-        "grid_points": GRID_POINTS,
-        "p_range": (GRID_MIN, GRID_MAX),
-        "candidate_cells": int(len(cells)),
-        "roots_polished": len(roots),
-        "unstable_discarded": unstable,
-        "verification_failed": failed,
-        "anomaly": None,
-    }
-    if not 1 <= len(points) <= 3:
-        metadata["anomaly"] = f"equilibrium count {len(points)} outside [1, 3]"
+    points, unstable, failed = _certify(game, [PTuple(r) for r in roots])
+    metadata = {"d_roots": len(D), "starts": len(x),
+                "roots_polished": len(roots),
+                "unstable_discarded": unstable, "verification_failed": failed}
     if not points:
         raise NoEquilibriumFound(
-            "no verified stationary equilibrium bracketed by the scan")
+            "no verified stationary equilibrium among the reduction's roots")
     return EquilibriumSet(points=points, method="enumeration",
                           search_metadata=metadata)
 

@@ -29,8 +29,8 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .model import (GainTuple, GameSpec, PTuple, frobenius, pbh_stabilizable,
-                    stack_stacks, symmetrize)
+from .model import (GainTuple, GameSpec, PTuple, frobenius, stack_stacks,
+                    symmetrize)
 
 # Stage solve fails when the reciprocal condition estimate drops below this.
 SINGULARITY_RCOND = 1e-12
@@ -57,10 +57,6 @@ class SingularStageSystem(RuntimeError):
     def __init__(self, rcond: float):
         self.rcond = rcond
         super().__init__(f"stage-gain system singular (rcond={rcond:.3e})")
-
-
-class NotStabilizable(RuntimeError):
-    """A required (state matrix, input map) pair fails the PBH test."""
 
 
 class NoConvergence(RuntimeError):
@@ -601,25 +597,3 @@ def periodic_best_response(game: GameSpec, i: int, gain_cycle,
         f"periodic best response for agent {i} did not settle in "
         f"{BEST_RESPONSE_MAX_STEPS} stage steps")
 
-
-def best_response_dare(game: GameSpec, i: int, others: GainTuple | None,
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """Single-agent stabilizing Riccati solution against frozen opponents.
-
-    Freezes every other agent's gain (entry i of `others` is ignored;
-    None means all opponents play zero) and solves agent i's discrete
-    algebraic Riccati equation with (Abar, B^i, Q^i, R^i), Abar = A -
-    sum_{j != i} B^j K^j: the period-one periodic_best_response, iterated
-    from P = Q^i. Returns (P_i, K_i) with the closed loop Abar - B^i K_i
-    strictly stable.
-
-    Raises NotStabilizable when (Abar, B^i) fails the PBH test and
-    NoConvergence when periodic_best_response's budget runs out.
-    """
-    if others is None:
-        others = GainTuple([np.zeros((m, game.n)) for m in game.input_dims])
-    if not pbh_stabilizable(partial_closed_loop(game, others, i), game.B[i]):
-        raise NotStabilizable(
-            f"agent {i}: residual closed loop not stabilizable through B^{i}")
-    (P,), (K,) = periodic_best_response(game, i, [others])
-    return P, K

@@ -63,13 +63,83 @@ def test_enumeration_requires_scalar_two_agents(scalar_lqr):
         lq.scalar_two_agent_equilibria(scalar_lqr)
 
 
-def test_no_equilibrium_in_restricted_scan_range(fig1_game, monkeypatch):
-    # all three roots lie above 1: a scan capped below that range finds
-    # nothing and says so
-    monkeypatch.setattr(equilibria, "GRID_MIN", 1e-4)
-    monkeypatch.setattr(equilibria, "GRID_MAX", 1e-3)
+def test_nothing_verified_raises(fig1_game, monkeypatch):
+    # the roots are found, but a game where none of them verifies has no
+    # equilibrium to return and says so
+    monkeypatch.setattr(equilibria, "_certify",
+                        lambda game, candidates: ([], 0, len(candidates)))
     with pytest.raises(lq.NoEquilibriumFound):
         lq.scalar_two_agent_equilibria(fig1_game)
+
+
+def test_fig1_pinned_points_bit_for_bit(fig1_equilibria):
+    # the pinned terminal costs the grid enumeration used to return
+    expected = [("0x1.18a7afb3257a8p+0", "0x1.654191858a93ep+5"),
+                ("0x1.a74f4de1da554p+2", "0x1.d71cf624b5014p+3"),
+                ("0x1.80343bffc230ap+4", "0x1.0ff457b728316p+0")]
+    assert [tuple(v.hex() for v in scalar_values(pt))
+            for pt in fig1_equilibria] == expected
+
+
+def test_zero_state_matrix_has_only_q():
+    # at a = 0 the reduction's polynomial vanishes identically; the gains
+    # are zero and Q is the only fixed point
+    eqs = lq.scalar_two_agent_equilibria(lq.GameSpec(0, [1, 1], [2, 3],
+                                                     [1, 1]))
+    assert [scalar_values(pt) for pt in eqs] == [(2.0, 3.0)]
+
+
+def test_ensemble_scalar_games_count_histogram():
+    counts = {}
+    for t in range(300):
+        game = random_game(1, 1, 2, _rng_for(0, 0, t))
+        k = len(lq.scalar_two_agent_equilibria(game))
+        counts[k] = counts.get(k, 0) + 1
+    assert counts == {1: 284, 3: 16}
+
+
+def test_multi_input_agent_agrees_with_descent():
+    # n = 1 with input widths (2, 1): the reduction sees agent 1 only
+    # through s_1 = B^1 (R^1)^-1 B^1'
+    game = lq.GameSpec(5, [np.array([[0.8, -0.5]]), 1.0], [1, 1],
+                       [np.array([[1.0, 0.3], [0.3, 2.0]]), 2.0])
+    assert game.input_dims == (2, 1)
+    enum = sorted(scalar_values(pt)
+                  for pt in lq.scalar_two_agent_equilibria(game))
+    inits = [lq.PTuple([a, b]) for a in (0.5, 5.0, 20.0, 40.0)
+             for b in (0.5, 5.0, 20.0, 40.0)]
+    desc = sorted(scalar_values(pt) for pt in lq.residual_descent_search(
+        game, inits=inits, restarts=0))
+    assert len(enum) == len(desc) == 3
+    for e, d in zip(enum, desc):
+        assert max(abs(x - y) / (1 + abs(y)) for x, y in zip(e, d)) < 1e-8
+
+
+# Log-uniform wide games, a = +-10^U(-1, 2), B^i = 10^U(-1.5, 1.5),
+# q_i = 10^U(-3, 3), R^i = 10^U(-2, 2), games 5, 31 and 65 of
+# default_rng(7): a 200 x 200 logarithmic grid over [1e-4, 1e6] finds 2,
+# 1 and 2 of their equilibria (P = (2.76e6, 1.146) and the two with
+# P^2 > 2e7 lie outside it; game 65's (5.353, 36975.65) lies inside).
+WIDE_GAMES = {
+    5: (-30.913144887955625, [0.09191433367893227, 0.20081581571634524],
+        [191.4224735620039, 1.144840169273247],
+        [24.468141617883948, 3.6213347137882343]),
+    31: (-47.73569770241974, [0.09650214813658169, 0.038028312164160395],
+         [8.032387664759076, 0.019411434752005324],
+         [1.79820374194287, 60.147574566144925]),
+    65: (-69.77434020355237, [14.696661152349314, 0.4279728679962403],
+         [0.039939888880100104, 202.4844263921098],
+         [0.944785796493537, 5.5228670466757945]),
+}
+
+
+@pytest.mark.parametrize("index", sorted(WIDE_GAMES))
+def test_wide_game_has_three_certified_equilibria(index):
+    game = lq.GameSpec(*WIDE_GAMES[index])
+    eqs = lq.scalar_two_agent_equilibria(game)
+    assert len(eqs) == 3
+    for pt in eqs:
+        lq.verify_cycle([pt.p], game)
 
 
 def test_descent_finds_scalar_lqr_solution(scalar_lqr):

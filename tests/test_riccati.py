@@ -377,25 +377,29 @@ def test_termination_record_sup_norm_covers_ring_buffer():
 
 
 # ---------------------------------------------------------------------------
-# single-agent best response
+# single-agent best response: periodic_best_response at L = 1 is the DARE
+
+def stationary_response(game, i, gains=None):
+    """Agent i's (P, K) against the others' frozen gains (zero by
+    default) at period one."""
+    if gains is None:
+        gains = lq.GainTuple([np.zeros((m, game.n))
+                              for m in game.input_dims])
+    (P,), (K,) = lq.periodic_best_response(game, i, [gains])
+    return P, K
+
 
 def test_best_response_scalar_closed_form(scalar_lqr):
-    P, K = lq.best_response_dare(scalar_lqr, 0, None)
+    P, K = stationary_response(scalar_lqr, 0)
     assert float(P[0, 0]) == pytest.approx(GOLDEN, abs=1e-10)
     assert float(K[0, 0]) == pytest.approx(GOLDEN / (1.0 + GOLDEN), abs=1e-10)
 
 
 def test_best_response_zero_state_matrix():
     game = lq.GameSpec(0, [1], [3], [1])
-    P, K = lq.best_response_dare(game, 0, None)
+    P, K = stationary_response(game, 0)
     assert float(P[0, 0]) == pytest.approx(3.0, abs=1e-12)
     assert float(K[0, 0]) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_best_response_not_stabilizable():
-    game = lq.GameSpec(2, [[0]], [1], [1])
-    with pytest.raises(lq.NotStabilizable):
-        lq.best_response_dare(game, 0, None)
 
 
 def test_best_response_matches_scipy_dare():
@@ -412,7 +416,7 @@ def test_best_response_matches_scipy_dare():
         game = lq.GameSpec(A, [B], [Q], [R])
         if not lq.validate_game(game).ok:
             continue
-        P, K = lq.best_response_dare(game, 0, None)
+        P, K = stationary_response(game, 0)
         P_ref = solve_discrete_are(A, B, Q, R)
         assert np.linalg.norm(P - P_ref) < 1e-7 * (1 + np.linalg.norm(P_ref))
         checked += 1
@@ -425,18 +429,18 @@ def test_best_response_verifies_fig1_fixed_point(fig1_game):
     p_star = trace.final_state()
     gains = lq.riccati_step(p_star, fig1_game)[1]
     for i in range(2):
-        _, Ki = lq.best_response_dare(fig1_game, i, gains)
+        _, Ki = stationary_response(fig1_game, i, gains)
         assert np.linalg.norm(Ki - gains[i]) < 1e-6
 
 
 def test_periodic_best_response_replicated_equilibrium_is_dare(
         fig1_game, fig1_equilibria):
     # L copies of a stationary equilibrium's gains: every slot solves the
-    # same DARE, so each slot carries best_response_dare's solution
+    # same DARE, so each slot carries the period-one solution
     for pt in fig1_equilibria:
         gains_1 = pt.certificate.gains[0]
         for i in range(2):
-            P, K = lq.best_response_dare(fig1_game, i, gains_1)
+            P, K = stationary_response(fig1_game, i, gains_1)
             values, gains = lq.periodic_best_response(fig1_game, i,
                                                       [gains_1] * 3)
             assert len(values) == len(gains) == 3
