@@ -12,12 +12,10 @@ import lqgames as lq
 from lqgames import fileio
 
 game = lq.GameSpec(A=5, B=[1, 1], Q=[1, 1], R=[1, 2])
-eqs = lq.scalar_two_agent_equilibria(game)
-print(f"{len(eqs)} equilibria to label cells with")
 
 SAMPLES = 24
-basin = lq.run_basin_grid(game, axis_samples=SAMPLES, q_range=(0.3, 30.0),
-                          equilibria=eqs)
+basin = lq.run_basin_grid(game, axis_samples=SAMPLES, q_range=(0.3, 30.0))
+print(f"{len(basin.equilibria)} equilibria to label cells with")
 
 symbols = {0: ".", 1: "#", 2: "o", None: "?"}
 grid = {}

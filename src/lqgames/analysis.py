@@ -39,11 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (GainTuple, GameSpec, PTuple, stack_distances,
-                    validate_terminal)
+                    stack_stacks, validate_terminal)
 from .riccati import (CONV_WINDOW, ConvergenceStop, NoConvergence,
-                      RecursionTrace, SingularStageSystem, _one_blas_thread,
-                      _orbit_changes, _orbit_norms, closed_loop,
-                      periodic_best_response, riccati_step, run_recursion)
+                      RecursionTrace, SingularStageSystem, _agent_max,
+                      _one_blas_thread, closed_loop, periodic_best_response,
+                      riccati_step, run_recursion)
 
 VERDICT_CONVERGED = "converged"
 VERDICT_CYCLE = "cycle"
@@ -147,11 +147,12 @@ def detect_convergence(trace: RecursionTrace) -> tuple[PTuple, int] | None:
     when the trace retains only a trailing window. The rule is
     ConvergenceStop's, so a recursion that stopped on it settled
     CONV_WINDOW steps before its end. The changes are the recursion's
-    own, taken in one pass over the trace's stacked values.
+    own, taken in one stack_distances call over the trace's values.
     """
     values = trace.values
     rule = ConvergenceStop()
-    for s, rel in enumerate(_orbit_changes(values, _orbit_norms(values))):
+    changes = _agent_max(stack_distances(values[:-1], values[1:]))
+    for s, rel in enumerate(changes):
         if rule(s + 1, rel):
             return (trace.p_states[s + 1],
                     trace.first_step + s + 1 - CONV_WINDOW)
@@ -227,14 +228,17 @@ def _check_cycle(phases, game: GameSpec,
     # (a) Re-run the map around the loop; the step at phases[(l+1) % L]
     # must land on phases[l] and yields the slot-l gains.
     gains: list[GainTuple] = []
-    residual = 0.0
+    images = []
     for l in range(L):
         try:
             image, k = riccati_step(phases[(l + 1) % L], game)
         except SingularStageSystem as err:
             return None, [str(err)]
         gains.append(k)
-        residual = max(residual, phases[l].distance(image))
+        images.append(image.stack)
+    stacks = stack_stacks([p.stack for p in phases])     # (L, N, n, n)
+    residual = max(0.0, *_agent_max(stack_distances(stacks,
+                                                    stack_stacks(images))))
 
     loops = [closed_loop(game, k) for k in gains]
     phase_rho = tuple(spectral_radius(a) for a in loops)
@@ -246,17 +250,16 @@ def _check_cycle(phases, game: GameSpec,
     rho_product = spectral_radius(theta[-1])
 
     # (c) Unroll the value update around the loop back to phase 1.
-    loop_residual = 0.0
+    unrolled = []
     for i in range(N):
         acc = theta[-1].T @ phases[0][i] @ theta[-1]
         for l in range(L):
             Ki = gains[l][i]
             weight = game.Q[i] + Ki.T @ game.R[i] @ Ki
             acc = acc + theta[l].T @ weight @ theta[l]
-        loop_residual = max(
-            loop_residual,
-            float(np.linalg.norm(phases[0][i] - acc)
-                  / (1.0 + np.linalg.norm(phases[0][i]))))
+        unrolled.append(acc)
+    loop_residual = max(0.0, *stack_distances(
+        stacks[0], stack_stacks(unrolled)).tolist())
 
     failures = []
     if not residual < CERT_TOL:
@@ -268,20 +271,19 @@ def _check_cycle(phases, game: GameSpec,
 
     # (d) Each agent's periodic best response against the others' frozen
     # gain cycle must reproduce its own phases.
-    br: list[float] = []
+    solved = []
     br_residual = float("nan")
     if residual < CERT_TOL and rho_product < 1.0:
         for i in range(N):
             try:
-                solved, _ = periodic_best_response(game, i, gains)
+                solved.append(periodic_best_response(game, i, gains)[0])
             except (NoConvergence, SingularStageSystem) as err:
                 failures.append(str(err))
                 break
-            br.append(max(float(np.linalg.norm(solved[l] - phases[l][i])
-                                / (1.0 + np.linalg.norm(phases[l][i])))
-                          for l in range(L)))
         else:
-            br_residual = max(br)
+            # Agent i's residual is its largest over the L phases.
+            br_residual = max(_agent_max(stack_distances(
+                stacks, np.stack(solved, axis=1)).T))
             if not br_residual < BR_TOL:
                 failures.append(f"periodic best-response residual "
                                 f"{br_residual:.3e} >= {BR_TOL:.1e}")

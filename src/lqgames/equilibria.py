@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import CERT_TOL, CycleCertificate, _check_cycle
-from .model import GameSpec, PTuple
+from .model import GameSpec, PTuple, stack_distances, stack_stacks
 from .riccati import (SingularStageSystem, _one_blas_thread, _solve_each,
                       _stage_map_batch, riccati_step)
 
@@ -71,16 +71,6 @@ class EquilibriumSet:
 
     def __iter__(self):
         return iter(self.points)
-
-    def nearest(self, p: PTuple) -> tuple[int, float]:
-        """Index of the closest point and its relative distance; (-1, inf)
-        when the set is empty."""
-        best, dist = -1, float("inf")
-        for idx, pt in enumerate(self.points):
-            d = pt.p.distance(p)
-            if d < dist:
-                best, dist = idx, d
-        return best, dist
 
 
 def _image(game: GameSpec, x: np.ndarray) -> np.ndarray:
@@ -220,7 +210,11 @@ def scalar_two_agent_equilibria(game: GameSpec) -> EquilibriumSet:
     each start onto an equilibrium or it is dropped. Unstable fixed
     points (|Acl| >= 1) are only counted. Metadata: d_roots (roots with
     real part above |a|), starts (the root and sign-pattern pairs that
-    pass), roots_polished, unstable_discarded and verification_failed.
+    pass), roots_polished, unstable_discarded, verification_failed and
+    unpinned: how many returned points the stage map does not hold
+    exactly (their certificate's orbit residual is not zero), because no
+    exactly stationary pair lies within PIN_MAX_ULPS; such a point is no
+    exact terminal cost.
     Raises NoEquilibriumFound when nothing verifies.
     """
     if game.n != 1 or game.num_agents != 2:
@@ -254,17 +248,19 @@ def scalar_two_agent_equilibria(game: GameSpec) -> EquilibriumSet:
     x = x[np.isfinite(x).all(axis=1) & (abs(1.0 + x @ s - d) <= ROOT_TOL * d)]
 
     polished, converged = _newton(game, x, pin=True)
-    roots: list[np.ndarray] = []
-    for root in polished[converged]:
-        if all(np.max(np.abs(root - r) / (1.0 + np.abs(r))) > DEDUP_TOL
-               for r in roots):
-            roots.append(root)
-    roots = sorted(_pin_to_stage_map(game, root) for root in roots)
+    roots = np.empty((0, 2, 1, 1))
+    for root in polished[converged].reshape(-1, 2, 1, 1):
+        if all(max(d) > DEDUP_TOL
+               for d in stack_distances(roots, root).tolist()):
+            roots = np.concatenate([roots, root[None]])
+    roots = sorted(_pin_to_stage_map(game, root.ravel()) for root in roots)
 
     points, unstable, failed = _certify(game, [PTuple(r) for r in roots])
     metadata = {"d_roots": len(D), "starts": len(x),
                 "roots_polished": len(roots),
-                "unstable_discarded": unstable, "verification_failed": failed}
+                "unstable_discarded": unstable, "verification_failed": failed,
+                "unpinned": sum(pt.certificate.cycle_residual > 0.0
+                                for pt in points)}
     if not points:
         raise NoEquilibriumFound(
             "no verified stationary equilibrium among the reduction's roots")
@@ -343,7 +339,8 @@ def residual_descent_search(game: GameSpec, inits=None, restarts: int = 20,
         if not phi < DESCENT_ACCEPT_TOL:
             continue
         p = _unpack(result.x, n, N)
-        if any(p.distance(s) < DEDUP_TOL for s in seen):
+        if seen and any(max(d) < DEDUP_TOL for d in stack_distances(
+                p.stack, stack_stacks([s.stack for s in seen])).tolist()):
             continue
         seen.append(p)
 

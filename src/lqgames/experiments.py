@@ -19,8 +19,9 @@ import numpy as np
 from .analysis import (ClassifyOptions, VERDICT_CONVERGED, VERDICT_CYCLE,
                        VERDICTS, classify)
 from .equilibria import EquilibriumSet, _newton, scalar_two_agent_equilibria
-from .model import GameSpec, PTuple, validate_game
-from .riccati import _one_blas_thread
+from .model import (GameSpec, PTuple, stack_distances, stack_stacks,
+                    validate_game)
+from .riccati import _agent_max, _one_blas_thread
 
 # Basin cells whose fixed point sits farther than this (relative) from
 # every known equilibrium land in the unmatched bucket.
@@ -119,17 +120,18 @@ class BasinMap:
 @_one_blas_thread
 def run_basin_grid(game: GameSpec, axis_samples: int = 100,
                    q_range: tuple[float, float] = (0.3, 30.0),
-                   opts: ClassifyOptions | None = None,
-                   equilibria: EquilibriumSet | None = None) -> BasinMap:
+                   opts: ClassifyOptions | None = None) -> BasinMap:
     """Classify the recursion over a grid of scalar terminal costs.
 
     Maps each (Q_T^1, Q_T^2) on a uniform grid over (lo, hi] (the lower
-    endpoint is excluded), labels converged cells by the nearest known
-    equilibrium, and records steps to converge. Converged fixed points are
-    Newton-polished, in one batch after the grid, before matching so labels
-    do not depend on how slowly a boundary cell settled. Raises ValueError
-    unless the range is finite with 0 <= lo < hi, so every terminal cost
-    is positive definite.
+    endpoint is excluded), labels converged cells by the nearest of the
+    game's enumerated equilibria, and records steps to converge. Converged
+    fixed points are Newton-polished, in one batch after the grid, before
+    matching so labels do not depend on how slowly a boundary cell
+    settled. A cell's distance to an equilibrium is PTuple.distance's,
+    taken for every cell and equilibrium in one stack_distances call; its
+    label is the first nearest. Raises ValueError unless the range is
+    finite with 0 <= lo < hi, so every terminal cost is positive definite.
     """
     if game.n != 1 or game.num_agents != 2:
         raise ValueError("basin mapping requires n = 1 and two agents")
@@ -137,8 +139,7 @@ def run_basin_grid(game: GameSpec, axis_samples: int = 100,
     if not (math.isfinite(hi) and 0 <= lo < hi):
         raise ValueError(f"terminal-cost range {q_range} needs finite "
                          "0 <= lo < hi")
-    if equilibria is None:
-        equilibria = scalar_two_agent_equilibria(game)
+    equilibria = scalar_two_agent_equilibria(game)
     axis = np.linspace(lo, hi, axis_samples + 1)[1:]
 
     cells, converged, starts = [], [], []
@@ -154,10 +155,14 @@ def run_basin_grid(game: GameSpec, axis_samples: int = 100,
             cells.append(cell)
     if converged:
         polished, ok = _newton(game, np.array(starts))
-        for cell, point in zip(converged,
-                               np.where(ok[:, None], polished, starts)):
-            idx, dist = equilibria.nearest(PTuple([point[0], point[1]]))
-            cell.distance = dist
+        points = np.where(ok[:, None], polished, starts)
+        known = stack_stacks([pt.p.stack for pt in equilibria])
+        # (cells, equilibria, agents), the denominators from the equilibria.
+        dists = stack_distances(known, points.reshape(-1, 1, 2, 1, 1))
+        for cell, row in zip(converged, dists):
+            tops = _agent_max(row)
+            cell.distance = dist = min(tops)
+            idx = tops.index(dist)
             cell.label = idx if dist <= BASIN_LABEL_TOL else None
     return BasinMap(grid_axes=(axis, axis), cells=cells, equilibria=equilibria)
 

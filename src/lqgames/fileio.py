@@ -355,8 +355,8 @@ def trace_value_series(trace: RecursionTrace, game: GameSpec):
     agent, distance) rows, and closed-loop spectral radius, as (step,
     radius) rows, read from the stacks."""
     P = trace.values
-    S, N, n, _ = P.shape
-    norms = stack_norms((P - P[0]).reshape(-1, n, n)).reshape(S, N)
+    S, N = P.shape[:2]
+    norms = stack_norms(P - P[0])
     steps = trace.first_step + np.arange(S)
     diffs = _series(steps[:, None], np.arange(N), norms)
     if not trace.gains:

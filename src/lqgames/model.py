@@ -84,10 +84,11 @@ def frobenius(m: np.ndarray) -> float:
 
 
 def stack_norms(stack: np.ndarray) -> np.ndarray:
-    """Frobenius norm of every matrix in an (N, n, n) C-ordered stack, in
-    one call; bit-identical to frobenius of each (the same dot product of
-    the raveled entries)."""
-    flat = stack.reshape(len(stack), -1)
+    """Frobenius norm of every matrix in a (..., n, n) stack, shaped
+    (...,), in one call; bit-identical to frobenius of each (the same dot
+    product of the raveled entries, then correctly rounded sqrt)."""
+    *lead, rows, cols = stack.shape
+    flat = stack.reshape(*lead, rows * cols)
     return np.sqrt(np.vecdot(flat, flat))
 
 
@@ -100,16 +101,13 @@ def stack_stacks(stacks) -> np.ndarray:
 
 def stack_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Relative Frobenius distance ||a^i - b^i||_F / (1 + ||a^i||_F) of
-    every matrix in a (..., N, n, n) C-ordered stack a from its match in
-    a stack b that broadcasts against it, shaped (..., N); bit-identical
-    to the same formula through frobenius (the same dot products, then
-    correctly rounded sqrt and division). Callers take the max over
-    agents; for one pair of stacks that is cheaper in Python floats than
-    as a numpy reduction."""
-    rows = a.shape[:-2] + (-1,)
-    flat, diff = a.reshape(rows), (a - b).reshape(rows)
-    return (np.sqrt(np.vecdot(diff, diff))
-            / (1.0 + np.sqrt(np.vecdot(flat, flat))))
+    every matrix of a stack a from its match in a stack b, the two
+    broadcast against each other over their leading axes; (..., n, n)
+    stacks give a (...) array. The denominators are taken from a at its
+    own shape. Bit-identical to the same formula through frobenius, pair
+    by pair. Callers take the max over agents with Python's max, as
+    PTuple.distance does, so that a NaN counts only in first place."""
+    return stack_norms(a - b) / (1.0 + stack_norms(a))
 
 
 class GameSpec:
@@ -280,7 +278,7 @@ class PTuple(_MatrixTuple):
         return max(stack_distances(self.stack, other.stack).tolist())
 
     def norms(self) -> list[float]:
-        return [frobenius(m) for m in self.entries]
+        return stack_norms(self.stack).tolist()
 
     def max_norm(self) -> float:
         return max(self.norms())

@@ -23,14 +23,13 @@ import math
 import threading
 from collections import deque
 from dataclasses import dataclass
-from operator import truediv
 from pathlib import Path
 
 import numpy as np
 import scipy
 
-from .model import (GainTuple, GameSpec, PTuple, frobenius, stack_stacks,
-                    symmetrize)
+from .model import (GainTuple, GameSpec, PTuple, stack_distances, stack_norms,
+                    stack_stacks, symmetrize)
 
 # Stage solve fails when the reciprocal condition estimate drops below this.
 SINGULARITY_RCOND = 1e-12
@@ -236,19 +235,22 @@ class _Stage:
     padded_rows  where those rows sit among the N * mb padded rows, or
                  None when every m_i is mb and there is no padding
     N            number of agents
+    value_shape  (N, n, n), the shape of one value stack
     total        sum m, the width of the gain system's coefficient block
     system_shape (N * mb, sum m + n), the padded [M | rhs] of one stack
     gain_shape   (N, mb, n), the padded gains of one stack
     """
 
     __slots__ = ("A", "BT", "B", "BsA", "R_block", "R", "Q", "rows",
-                 "padded_rows", "N", "total", "system_shape", "gain_shape")
+                 "padded_rows", "N", "value_shape", "total", "system_shape",
+                 "gain_shape")
 
     def __init__(self, A, B, Q, R):
         N, n = len(B), A.shape[0]
         dims = [b.shape[1] for b in B]
         mb, total = max(dims), sum(dims)
         self.N, self.total = N, total
+        self.value_shape = (N, n, n)
         self.system_shape = (N * mb, total + n)
         self.gain_shape = (N, mb, n)
         self.A = A
@@ -373,11 +375,12 @@ def riccati_step(p_next: PTuple, game: GameSpec) -> tuple[PTuple, GainTuple]:
     ValueError unless p_next holds one n x n matrix per agent.
     """
     stage = game._stage or _cache_stage(game)
-    P = p_next.stack
-    if P.shape != stage.Q.shape:
-        # The stacked products would broadcast a single matrix silently.
-        raise ValueError(f"value tuple of shape {P.shape} does not fit "
-                         f"the game's {stage.Q.shape}")
+    P = p_next._stack           # the slot: the stack property costs a call
+    if P is None or P.shape != stage.value_shape:
+        # A ragged tuple has no stack, and the stacked products would
+        # broadcast a single matrix silently.
+        raise ValueError(f"value tuple {p_next!r} does not fit the game's "
+                         f"{stage.value_shape} stack")
     values, gains = _stage_map(stage, P)
     return PTuple._trusted(values), GainTuple._trusted(gains, stage.rows)
 
@@ -424,33 +427,11 @@ class ConvergenceStop:
         return CONV_WINDOW if step == 1 else CONV_WINDOW - self._run
 
 
-def _orbit_norms(values: np.ndarray) -> list[float]:
-    """Agent Frobenius norms of every state in a C-ordered (S, N, n, n)
-    stack as one flat list of Python floats, entry s * N + i being
-    ||V_s^i||_F: one vecdot for all of them (stack_norms' dot products),
-    then math.sqrt, which rounds as numpy's does."""
-    flat = values.reshape(values.shape[0] * values.shape[1], -1)
-    return list(map(math.sqrt, np.vecdot(flat, flat).tolist()))
-
-
-def _agent_max(flat, N: int) -> list[float]:
-    """The largest of each run of N consecutive entries of a flat iterable,
-    taken by Python's max as the per-state code takes it (a NaN counts
-    only in first place)."""
-    return list(map(max, zip(*[iter(flat)] * N)))
-
-
-def _orbit_changes(values: np.ndarray, norms: list) -> list[float]:
-    """Relative change of each step values[s] -> values[s + 1] of a
-    C-ordered (S, N, n, n) stack: the largest agent ||V_s^i - V_{s+1}^i||_F
-    / (1 + ||V_s^i||_F), norms being _orbit_norms(values). One subtraction
-    and one vecdot for all of them, finished in Python floats:
-    bit-identical to PTuple.distance of each pair."""
-    S, N, n = values.shape[:3]
-    diff = (values[:-1] - values[1:]).reshape((S - 1) * N, n * n)
-    scaled = map(truediv, map(math.sqrt, np.vecdot(diff, diff).tolist()),
-                 map((1.0).__add__, norms))
-    return _agent_max(scaled, N)
+def _agent_max(rows: np.ndarray) -> list[float]:
+    """The largest entry of each row of a 2-D array of agent norms or
+    distances (one row per state or pair), taken by Python's max as
+    PTuple.distance takes it (a NaN counts only in first place)."""
+    return list(map(max, rows.tolist()))
 
 
 def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
@@ -468,8 +449,9 @@ def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
     steps at a time; when the run ends the chunks are joined into the
     trace's read-only values, which its states are views of. The norms,
     changes and tests of a block of steps are taken together after it:
-    one vecdot gives every state's agent norms and, with a stop rule, one
-    subtraction and one vecdot every step's change. A block ends no later
+    one stack_norms call gives every state's agent norms and, with a stop
+    rule, one stack_distances call every step's change; final_residual is
+    the change between the last two states kept. A block ends no later
     than the first step at which the stop rule could fire, so a run that
     completes or converges takes exactly its steps. Steps after a
     divergence inside a block are discarded, and overflow or invalid
@@ -486,11 +468,9 @@ def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
                      + p.stack.shape)
     chunk[0] = p.stack
     chunks.append(chunk)
-    N = chunk.shape[1]
     row = 0                     # chunk row of the last state kept
-    sup = max(_orbit_norms(chunk[:1]))
+    sup = max(stack_norms(chunk[0]).tolist())
     reason = "completed"
-    rel = float("inf")
     rcond = None
     steps = 0
     # Overflow or invalid values in the steps a divergence discards must
@@ -520,10 +500,10 @@ def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
             kept = taken = len(new_gains)
             if taken:
                 block = chunk[row:row + taken + 1]
-                norms = _orbit_norms(block)
-                tops = _agent_max(norms[N:], N)
+                tops = _agent_max(stack_norms(block[1:]))
                 if stop is not None:
-                    changes = _orbit_changes(block, norms)
+                    changes = _agent_max(stack_distances(block[:-1],
+                                                         block[1:]))
             for j in range(taken):
                 top = tops[j]
                 if top > sup:
@@ -541,8 +521,6 @@ def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
                     reason = "singular"
                     rcond = singular.rcond
             gains.extend(new_gains[:kept])
-            if stop is not None and kept:
-                rel = changes[kept - 1]
             steps += kept
             row += kept
 
@@ -554,9 +532,10 @@ def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
                                 + [values[1:]])
         values.setflags(write=False)
     values = values[-(min(steps, RING_BUFFER_SIZE) if ring else steps) - 1:]
-    if stop is None and steps:
-        tail = values[-2:]
-        rel = _orbit_changes(tail, _orbit_norms(tail))[0]
+    rel = float("inf")
+    if steps:
+        with np.errstate(over="ignore", invalid="ignore"):
+            rel = max(stack_distances(values[-2], values[-1]).tolist())
 
     record = TerminationRecord(
         reason=reason, steps=steps,
@@ -582,17 +561,16 @@ def periodic_best_response(game: GameSpec, i: int, gain_cycle,
     L = len(gain_cycle)
     stages = [_Stage(partial_closed_loop(game, k, i), (game.B[i],),
                      (game.Q[i],), (game.R[i],)) for k in gain_cycle]
-    V = [stages[0].Q] * L
+    V = np.repeat(stages[0].Q[None], L, axis=0)     # (L, 1, n, n)
     for _ in range(BEST_RESPONSE_MAX_STEPS // L):
-        prev = list(V)
+        prev = V.copy()
         for l in range(L - 1, -1, -1):
             V[l], _ = _stage_map(stages[l], V[(l + 1) % L])
-        change = max(frobenius(v - p) / (1.0 + frobenius(p))
-                     for v, p in zip(V, prev))
+        change = max(stack_distances(prev, V).ravel().tolist())
         if change < BEST_RESPONSE_TOL:
             gains = [_stage_map(stages[l], V[(l + 1) % L])[1]
                      for l in range(L)]
-            return [v[0] for v in V], gains
+            return list(V[:, 0]), gains
     raise NoConvergence(
         f"periodic best response for agent {i} did not settle in "
         f"{BEST_RESPONSE_MAX_STEPS} stage steps")

@@ -70,13 +70,12 @@ def test_criterion_2_terminal_cost_selection(bench_game, bench_equilibria):
     _report("2", f"(max deviation 0 at all 3 points, {elapsed:.2f}s)")
 
 
-def test_criterion_3_basin_reproduction(bench_game, bench_equilibria):
+def test_criterion_3_basin_reproduction(bench_game):
     """100x100 terminal-cost grid over (0.3, 30]^2: every cell converges;
     two attractors each cover >= 5% of cells, the saddle <= 0.5%."""
     t0 = time.time()
     basin = lq.run_basin_grid(bench_game, axis_samples=100,
-                              q_range=(0.3, 30.0),
-                              equilibria=bench_equilibria)
+                              q_range=(0.3, 30.0))
     elapsed = time.time() - t0
     assert elapsed < 120.0, f"basin grid took {elapsed:.0f}s"
     total = len(basin.cells)

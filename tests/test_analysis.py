@@ -6,9 +6,10 @@ import pytest
 import lqgames as lq
 from lqgames.analysis import CYCLE_WINDOW, MAX_PERIOD, _minimal_period
 from lqgames.experiments import _rng_for, random_game
+from lqgames.model import stack_distances
 from lqgames.riccati import (CONV_WINDOW, FULL_STORAGE_LIMIT,
                              RING_BUFFER_SIZE, RecursionTrace,
-                             TerminationRecord, _orbit_changes, _orbit_norms)
+                             TerminationRecord, _agent_max)
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -154,7 +155,7 @@ def test_detect_convergence_matches_the_pairwise_loop(make):
         assert found[0] is expected[0] and found[1] == expected[1]
     # The changes it reads are PTuple.distance's, bit for bit.
     values, states = trace.values, trace.p_states
-    changes = _orbit_changes(values, _orbit_norms(values))
+    changes = _agent_max(stack_distances(values[:-1], values[1:]))
     pairwise = [a.distance(b) for a, b in zip(states, states[1:])]
     assert np.array(changes).tobytes() == np.array(pairwise).tobytes()
 

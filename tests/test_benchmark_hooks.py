@@ -34,8 +34,7 @@ def test_traced_names_resolve():
         importlib.import_module(f"lqgames.{module}")
 
 
-def test_campaigns_classify_through_module_global(monkeypatch, fig1_game,
-                                                  fig1_equilibria):
+def test_campaigns_classify_through_module_global(monkeypatch, fig1_game):
     calls = []
     original = experiments.classify
 
@@ -44,8 +43,7 @@ def test_campaigns_classify_through_module_global(monkeypatch, fig1_game,
         return original(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "classify", counting)
-    experiments.run_basin_grid(fig1_game, axis_samples=2,
-                               equilibria=fig1_equilibria)
+    experiments.run_basin_grid(fig1_game, axis_samples=2)
     assert len(calls) == 4
     experiments.run_ensemble([(1, 1, 2)], trials=3, master_seed=0,
                              opts=ClassifyOptions(horizon=200))

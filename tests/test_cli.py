@@ -270,6 +270,8 @@ def test_equilibria_command_three_rows(tmp_path, fig1_files):
     lines = [l for l in (out / "equilibria.csv").read_text().splitlines()
              if l and not l.startswith("#")]
     assert len(lines) == 4      # header + 3 equilibria
+    meta = json.loads((out / "manifest.json").read_text())["search_metadata"]
+    assert meta["unpinned"] == 0
     assert_manifest_lists_every_file(out)
 
 

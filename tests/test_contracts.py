@@ -3,23 +3,25 @@
 Over small random valid games: classify's convergence verdict is the one
 detect_convergence finds on the full trace, riccati_step's value
 matrices come back exactly symmetric and, like its gains, read-only, the
-norm helpers reproduce np.linalg.norm bit for bit, and riccati_step
-matches the stage map written out agent by agent, on games whose agents
-have equal input dimensions and on games where they differ, and equals a
-frozen copy of the single-stack stage arithmetic byte for byte, the stage
-map over a batch of value stacks gives each member what riccati_step
-gives it (bit for bit for scalar games) with an exactly singular member
-left non-finite on its own, the gains solve the stacked stage system to
-a small residual and every agent's value equals the explicit update
-form, classify gives every valid game and terminal a verdict without
-raising, run_recursion's residual and sup norm (with a stop rule or
-without one, fully stored or in a ring buffer) and _minimal_period's
-period are those of the plain np.linalg.norm formulas and pair-by-pair
-scan, a full-horizon trace's values are the costs of playing its
-gains (the dynamic-programming identity), and run_recursion, which steps
-and checks in blocks over array storage, gives the states, gains and
-record of a step-by-step loop bit for bit, with one riccati_step call per
-step unless it diverges, and leaves its storage read-only.
+norm helpers reproduce np.linalg.norm bit for bit, stack_distances, with
+either operand broadcast, is frobenius's formula matrix by matrix,
+riccati_step matches the stage map written out agent by agent, on games
+whose agents have equal input dimensions and on games where they differ,
+and equals a frozen copy of the single-stack stage arithmetic byte for
+byte, the stage map over a batch of value stacks gives each member what
+riccati_step gives it (bit for bit for scalar games) with an exactly
+singular member left non-finite on its own, the gains solve the stacked
+stage system to a small residual and every agent's value equals the
+explicit update form, classify gives every valid game and terminal a
+verdict without raising, run_recursion's residual and sup norm (with a
+stop rule or without one, fully stored or in a ring buffer) and
+_minimal_period's period are those of the plain np.linalg.norm formulas
+and pair-by-pair scan, a full-horizon trace's values are the costs of
+playing its gains (the dynamic-programming identity), and run_recursion,
+which steps and checks in blocks over array storage, gives the states,
+gains and record of a step-by-step loop bit for bit, with one
+riccati_step call per step unless it diverges, and leaves its storage
+read-only.
 """
 
 import warnings
@@ -29,6 +31,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import mutually_broadcastable_shapes
 from scipy.linalg import lu_factor, lu_solve
 
 import lqgames as lq
@@ -37,6 +40,7 @@ from lqgames.analysis import (CYCLE_TOL, CYCLE_WINDOW, MAX_PERIOD,
 from lqgames.experiments import (VERDICTS, _rng_for, random_game,
                                  random_terminal)
 from lqgames import riccati
+from lqgames.model import frobenius, stack_distances
 from lqgames.riccati import (BLOCK_STEPS, CHUNK_STEPS, DIVERGENCE_THRESHOLD,
                              FULL_STORAGE_LIMIT, RING_BUFFER_SIZE,
                              SingularStageSystem, _stage_map_batch)
@@ -102,6 +106,28 @@ def test_norm_helpers_match_numpy(case):
     assert gains.distance(other) == max(
         float(np.linalg.norm(a - b) / (1.0 + np.linalg.norm(a)))
         for a, b in zip(gains, other))
+
+
+@PROPERTY
+@given(mutually_broadcastable_shapes(num_shapes=2, max_dims=3, max_side=3),
+       st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_stack_distances_match_frobenius_pair_by_pair(shapes, n, seed):
+    # Either operand, or both, broadcast over the leading axes; the
+    # denominator is the matching matrix of a.
+    rng = np.random.default_rng(seed)
+
+    def draw(lead):
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, lead + (1, 1))
+        return scale * rng.standard_normal(lead + (n, n))
+
+    (lead_a, lead_b), lead = shapes.input_shapes, shapes.result_shape
+    a, b = draw(lead_a), draw(lead_b)
+    A, B = (np.broadcast_to(x, lead + (n, n)) for x in (a, b))
+    expected = [frobenius(A[i] - B[i]) / (1.0 + frobenius(A[i]))
+                for i in np.ndindex(lead)]
+    found = stack_distances(a, b)
+    assert found.shape == lead
+    assert np.ravel(found).tolist() == expected
 
 
 # (n, per-agent input dimensions): the stacked kernel pads unequal m_i

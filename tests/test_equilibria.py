@@ -133,6 +133,22 @@ WIDE_GAMES = {
 }
 
 
+def stage_map_moves(pt, game) -> bool:
+    image, _ = lq.riccati_step(pt.p, game)
+    return any(a.tobytes() != b.tobytes() for a, b in zip(image, pt.p))
+
+
+def test_unpinned_counts_points_the_stage_map_moves(fig1_game,
+                                                    fig1_equilibria):
+    assert fig1_equilibria.search_metadata["unpinned"] == 0
+    # Wide game 5 has no exactly stationary float pair within the pin's
+    # lattice around two of its three equilibria.
+    game = lq.GameSpec(*WIDE_GAMES[5])
+    eqs = lq.scalar_two_agent_equilibria(game)
+    moved = sum(stage_map_moves(pt, game) for pt in eqs)
+    assert eqs.search_metadata["unpinned"] == moved == 2
+
+
 @pytest.mark.parametrize("index", sorted(WIDE_GAMES))
 def test_wide_game_has_three_certified_equilibria(index):
     game = lq.GameSpec(*WIDE_GAMES[index])

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import lqgames as lq
+from lqgames import experiments
 from lqgames.analysis import ClassifyOptions
-from lqgames.experiments import _rng_for, random_game, random_terminal
+from lqgames.experiments import (BASIN_LABEL_TOL, _rng_for, random_game,
+                                 random_terminal)
 from lqgames.riccati import CONV_WINDOW
 from lqgames.fileio import (certificate_trace, trace_gain_series,
                             trace_value_series)
@@ -104,9 +106,8 @@ def test_census_incomplete_carries_partial_result():
 # ---------------------------------------------------------------------------
 # basin map
 
-def test_basin_grid_fig1(fig1_game, fig1_equilibria):
-    basin = lq.run_basin_grid(fig1_game, axis_samples=12, q_range=(0.3, 30.0),
-                              equilibria=fig1_equilibria)
+def test_basin_grid_fig1(fig1_game):
+    basin = lq.run_basin_grid(fig1_game, axis_samples=12, q_range=(0.3, 30.0))
     assert len(basin.cells) == 144
     assert all(c.verdict == "converged" for c in basin.cells)
     # every converged cell matches a known equilibrium tightly
@@ -119,6 +120,46 @@ def test_basin_grid_fig1(fig1_game, fig1_equilibria):
     axis = basin.grid_axes[0]
     assert axis[0] > 0.3
     assert axis[-1] == pytest.approx(30.0)
+
+
+def reference_labels(equilibria, points):
+    """Per-cell labelling: PTuple.distance from each equilibrium to the
+    cell's polished point, and the first of the nearest."""
+    labels = []
+    for x in points:
+        cell = lq.PTuple([x[0], x[1]])
+        best, dist = -1, float("inf")
+        for idx, pt in enumerate(equilibria):
+            d = pt.p.distance(cell)
+            if d < dist:
+                best, dist = idx, d
+        labels.append((best if dist <= BASIN_LABEL_TOL else None, dist))
+    return labels
+
+
+@pytest.mark.parametrize("game", [
+    lq.GameSpec(5, [1, 1], [1, 1], [1, 2]),
+    # Three equilibria and two basins: {0: 119, 2: 25} on this grid.
+    random_game(1, 1, 2, _rng_for(0, 0, 23)),
+], ids=["fig1", "random-23"])
+def test_basin_labels_match_per_cell_reference(game, monkeypatch):
+    points = []
+    newton = experiments._newton
+
+    def polishing(game, starts):
+        x, ok = newton(game, starts)
+        points.extend(np.where(ok[:, None], x, starts))
+        return x, ok
+
+    monkeypatch.setattr(experiments, "_newton", polishing)
+    basin = lq.run_basin_grid(game, axis_samples=12)
+    assert len(basin.equilibria) == 3
+    converged = [c for c in basin.cells if c.verdict == "converged"]
+    assert len(converged) == len(points) == 144
+    expected = reference_labels(basin.equilibria, points)
+    assert [(c.label, c.distance.hex()) for c in converged] == [
+        (label, dist.hex()) for label, dist in expected]
+    assert len({c.label for c in converged}) == 2
 
 
 def test_basin_requires_scalar_two_agent(scalar_lqr):
@@ -148,10 +189,9 @@ def test_classify_at_equilibrium_converges_fast(fig1_game, fig1_equilibria):
 @pytest.mark.parametrize("q_range", [(-5.0, 1.0), (5.0, 1.0), (1.0, 1.0),
                                      (0.3, float("inf")),
                                      (float("nan"), 1.0)])
-def test_basin_grid_rejects_bad_range(fig1_game, fig1_equilibria, q_range):
+def test_basin_grid_rejects_bad_range(fig1_game, q_range):
     with pytest.raises(ValueError, match="0 <= lo < hi"):
-        lq.run_basin_grid(fig1_game, axis_samples=2, q_range=q_range,
-                          equilibria=fig1_equilibria)
+        lq.run_basin_grid(fig1_game, axis_samples=2, q_range=q_range)
 
 
 # ---------------------------------------------------------------------------

@@ -110,9 +110,11 @@ def test_riccati_step_scalar_hand_values():
 
 
 def test_riccati_step_rejects_misfit_values(fig1_game):
+    # Too few agents, too large matrices, and a ragged tuple with no stack.
     for p in (lq.PTuple([1.0]), lq.PTuple([np.eye(2), np.eye(2)]),
               lq.PTuple([1.0, np.eye(2)])):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"does not fit the game's "
+                                             r"\(2, 1, 1\) stack"):
             lq.riccati_step(p, fig1_game)
 
 
