@@ -7,11 +7,13 @@ resolved configuration and lists every artifact. The directory is made
 with the first artifact, so a run that fails before writing one (every
 usage error among them) leaves no directory. Option values resolve as:
 command-line flag over config-file entry over built-in default; unknown
-config keys, booleans, non-integral numbers for integer options, and a
---conv-tol that is not finite and at least 0 are rejected by name. The
-tolerances that decide a verdict are library constants, not options.
-Exit codes: 0 success (and --help), 1 domain failure, 2 usage error;
-main returns the code rather than raising SystemExit. A game, terminal
+config keys, booleans, non-integral numbers for integer options, a
+negative --seed, and a --conv-tol that is not finite and at least 0 are
+rejected by name, and so is an --out that is a file or lies under one.
+The tolerances that decide a verdict are library constants, not
+options. Exit codes: 0 success (and --help), 1 domain failure or an
+artifact that cannot be written, 2 usage error; main returns the code
+rather than raising SystemExit. A game, terminal
 or phases file that is missing, unreadable or fails validation is a
 usage error, except that validate reports a failing game with exit 1.
 Phases are checked for count, shape and finiteness; certification
@@ -175,6 +177,8 @@ def parse_config(argv) -> RunConfig:
     for name in _POSITIVE:
         if name in params and params[name] < 1:
             raise UsageError(f"--{name} must be at least 1, got {params[name]}")
+    if params.get("seed") is not None and params["seed"] < 0:
+        raise UsageError(f"--seed must be at least 0, got {params['seed']}")
     if "conv-tol" in params and not 0 <= params["conv-tol"] < math.inf:
         raise UsageError("--conv-tol must be finite and at least 0, "
                          f"got {params['conv-tol']}")
@@ -262,12 +266,15 @@ def _parse_floats(text: str, sep: str, count: int, flag: str) -> list[float]:
 
 def dispatch(config: RunConfig) -> int:
     """Run one resolved command; returns the process exit code. The output
-    directory, --out or runs/<command> suffixed -2, -3, ... while it holds
-    files, is made with the first artifact."""
+    directory, --out or runs/<command> suffixed -2, -3, ... while that is
+    a file or holds files, is made with the first artifact; an --out that
+    is a file or lies under one is a usage error."""
     base = config.params.get("out") or f"runs/{config.command}"
     out = Path(base)
+    if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+        raise UsageError(f"--out {base} is a file or lies under one")
     suffix = 1
-    while out.exists() and any(out.iterdir()):
+    while out.exists() and (not out.is_dir() or any(out.iterdir())):
         suffix += 1
         out = Path(f"{base}-{suffix}")
     resolved = dict(config.params)
@@ -436,7 +443,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as err:
+    except (ValueError, RuntimeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -91,9 +91,8 @@ def _open_csv(path, provenance: dict | None):
 
 
 class _Text:
-    """repr of every entry of an array taken as dtype (float64, or int64
-    for whole numbers), as an object array of its shape, for a table
-    formatted a chunk at a time.
+    """repr of every entry of a float64 array, as an object array of its
+    shape, for a table formatted a chunk at a time.
 
     repr runs once per distinct bit pattern: keys are bits, never float
     values, because -0.0 == 0.0 prints differently and NaN never compares
@@ -104,13 +103,12 @@ class _Text:
     only two chunks' strings are held at a time.
     """
 
-    def __init__(self, dtype=np.float64):
-        self.dtype = dtype
+    def __init__(self):
         self.bits = np.empty(0, dtype=np.int64)
         self.text = np.empty(0, dtype=object)
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        values = np.ascontiguousarray(values, dtype=self.dtype)
+        values = np.ascontiguousarray(values, dtype=np.float64)
         bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
         text = np.empty(len(bits), dtype=object)
         miss = np.ones(len(bits), dtype=bool)
@@ -119,7 +117,7 @@ class _Text:
             hit = self.bits[at] == bits
             text[hit] = self.text[at[hit]]
             miss = ~hit
-        text[miss] = list(map(repr, bits[miss].view(self.dtype).tolist()))
+        text[miss] = list(map(repr, bits[miss].view(np.float64).tolist()))
         self.bits, self.text = bits, text
         return text[inverse].reshape(values.shape)
 
@@ -319,13 +317,13 @@ def write_trajectory_csv(traj, path, provenance=None) -> None:
 def write_series_csv(series, header, path, provenance=None) -> None:
     """One row per row of an (R, c) series: its c - 1 leading columns as
     integers, then its value as repr, SERIES_CHUNK_ROWS rows at a time."""
-    index_text, value_text = _Text(np.int64), _Text()
+    value_text = _Text()
     with _open_csv(path, provenance) as fh:
         _write_rows(fh, [header])
         for start in range(0, len(series), SERIES_CHUNK_ROWS):
             chunk = series[start:start + SERIES_CHUNK_ROWS]
             cells = np.empty(chunk.shape, dtype=object)
-            cells[:, :-1] = index_text(chunk[:, :-1])
+            cells[:, :-1] = chunk[:, :-1].astype(np.int64).astype(str)
             cells[:, -1] = value_text(chunk[:, -1])
             _write_rows(fh, cells.tolist())
 

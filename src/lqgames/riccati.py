@@ -39,11 +39,8 @@ DIVERGENCE_THRESHOLD = 1e12
 FULL_STORAGE_LIMIT = 10_000
 # Ring size: enough for cycle detection up to analysis.MAX_PERIOD.
 RING_BUFFER_SIZE = 512
-# A recursion stores its values in chunks of this many steps, each chunk
-# led by a copy of the state it steps from, and checks its steps in
-# blocks of at most BLOCK_STEPS (fewer when a stop rule could fire
-# sooner); no block crosses a chunk.
-CHUNK_STEPS = 256
+# A recursion checks its steps in blocks of at most this many (fewer when
+# a stop rule could fire sooner or a ring buffer fills).
 BLOCK_STEPS = 16
 # Best-response iteration: relative settling tolerance and step budget.
 BEST_RESPONSE_TOL = 1e-12
@@ -89,6 +86,9 @@ class RecursionTrace:
     array. A trace is built from its states, whose stacks are stacked into
     values, or, with p_states None, from values alone, as run_recursion
     builds it; its states are then views of values, made when first read.
+    run_recursion's values are a view of the one buffer its run wrote: all
+    of it for a full horizon, a copy of the rows written for an early
+    stop, a window of at most 2 * RING_BUFFER_SIZE + 1 rows for a ring.
     """
 
     def __init__(self, p_states, gains, terminated: TerminationRecord,
@@ -445,9 +445,13 @@ def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
     which and carries the sup norm over every state visited, terminal
     included. Early stops are recorded, never raised.
 
-    Each step's values are copied into storage that grows CHUNK_STEPS
-    steps at a time; when the run ends the chunks are joined into the
-    trace's read-only values, which its states are views of. The norms,
+    Each step's values are copied into one buffer allocated when the run
+    starts: the horizon's states, terminal first, or a ring of
+    2 * RING_BUFFER_SIZE + 1 states that, when full, copies its last
+    RING_BUFFER_SIZE + 1 to its front. The trace's read-only values, and
+    its states, are views of that buffer, except that a full-storage run
+    that stops early keeps a copy of the rows it wrote, so a long
+    horizon's unused rows do not outlive the run. The norms,
     changes and tests of a block of steps are taken together after it:
     one stack_norms call gives every state's agent norms and, with a stop
     rule, one stack_distances call every step's change; final_residual is
@@ -459,17 +463,13 @@ def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
     """
     ring = max_steps > FULL_STORAGE_LIMIT
     gains = deque(maxlen=RING_BUFFER_SIZE) if ring else []
-    # A ring keeps the chunks that hold its states and the one being filled.
-    chunks = deque(maxlen=-(-RING_BUFFER_SIZE // CHUNK_STEPS) + 1
-                   if ring else None)
 
     p = terminal
-    chunk = np.empty((min(max(max_steps, 0), CHUNK_STEPS) + 1,)
-                     + p.stack.shape)
-    chunk[0] = p.stack
-    chunks.append(chunk)
-    row = 0                     # chunk row of the last state kept
-    sup = max(stack_norms(chunk[0]).tolist())
+    rows = 2 * RING_BUFFER_SIZE + 1 if ring else max(max_steps, 0) + 1
+    buf = np.empty((rows,) + p.stack.shape)
+    buf[0] = p.stack
+    row = 0                     # buffer row of the last state kept
+    sup = max(stack_norms(buf[0]).tolist())
     reason = "completed"
     rcond = None
     steps = 0
@@ -478,14 +478,10 @@ def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
     # singular, so the record says what a warning would.
     with np.errstate(over="ignore", invalid="ignore"):
         while reason == "completed" and steps < max_steps:
-            if row == len(chunk) - 1:
-                last = chunk[row]
-                chunk = np.empty((min(max_steps - steps, CHUNK_STEPS) + 1,)
-                                 + last.shape)
-                chunk[0] = last
-                chunks.append(chunk)
-                row = 0
-            size = min(BLOCK_STEPS, max_steps - steps, len(chunk) - 1 - row)
+            if row == len(buf) - 1:     # a full ring slides its states down
+                buf[:RING_BUFFER_SIZE + 1] = buf[-RING_BUFFER_SIZE - 1:]
+                row = RING_BUFFER_SIZE
+            size = min(BLOCK_STEPS, max_steps - steps, len(buf) - 1 - row)
             if stop is not None:
                 size = min(size, stop._steps_to_fire(steps + 1))
             new_gains = []
@@ -493,13 +489,13 @@ def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
             try:
                 for slot in range(row + 1, row + size + 1):
                     p, k = riccati_step(p, game)
-                    chunk[slot] = p._stack
+                    buf[slot] = p._stack
                     new_gains.append(k)
             except SingularStageSystem as err:
                 singular = err
             kept = taken = len(new_gains)
             if taken:
-                block = chunk[row:row + taken + 1]
+                block = buf[row:row + taken + 1]
                 tops = _agent_max(stack_norms(block[1:]))
                 if stop is not None:
                     changes = _agent_max(stack_distances(block[:-1],
@@ -524,14 +520,10 @@ def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
             steps += kept
             row += kept
 
-    chunk.setflags(write=False)
-    values = chunk[:row + 1]
-    if len(chunks) > 1:
-        parts = list(chunks)
-        values = np.concatenate([parts[0]] + [c[1:] for c in parts[1:-1]]
-                                + [values[1:]])
-        values.setflags(write=False)
-    values = values[-(min(steps, RING_BUFFER_SIZE) if ring else steps) - 1:]
+    if not ring and row < len(buf) - 1:     # an early stop keeps its rows
+        buf = buf[:row + 1].copy()
+    buf.setflags(write=False)
+    values = buf[row - min(steps, RING_BUFFER_SIZE) if ring else 0:row + 1]
     rel = float("inf")
     if steps:
         with np.errstate(over="ignore", invalid="ignore"):

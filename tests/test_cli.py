@@ -446,6 +446,45 @@ def test_output_dir_not_clobbered(tmp_path, fig1_files):
     assert main(["validate", "--game", str(game_path), "--out", str(out)]) == 0
     assert main(["validate", "--game", str(game_path), "--out", str(out)]) == 0
     assert (tmp_path / "out-2").exists()
+    # A file in the suffix sequence is passed over, not written into.
+    (tmp_path / "out-3").write_text("not a run")
+    assert main(["validate", "--game", str(game_path), "--out", str(out)]) == 0
+    assert (tmp_path / "out-3").read_text() == "not a run"
+    assert (tmp_path / "out-4" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_out_that_is_or_lies_under_a_file_is_usage_error(
+        tmp_path, fig1_files, capsys, monkeypatch, out):
+    game_path, term_path = fig1_files
+    (tmp_path / "afile").write_text("kept")
+    before = sorted(tmp_path.rglob("*"))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the recursion ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_recursion", no_work)
+    rc = main(["run", "--game", str(game_path), "--terminal", str(term_path),
+               "--out", str(tmp_path / out)])
+    assert rc == 2
+    assert "usage error: --out" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "afile").read_text() == "kept"
+
+
+def test_artifact_write_failure_is_error_exit(tmp_path, fig1_files, capsys,
+                                              monkeypatch):
+    game_path, term_path = fig1_files
+
+    def full_disk(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(fileio, "write_termination_json", full_disk)
+    rc = main(["run", "--game", str(game_path), "--terminal", str(term_path),
+               "--horizon", "5", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "error: [Errno 28] No space left on device" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("entries", [[float("nan"), 1.0], [-3.0, 1.0]],
@@ -482,16 +521,42 @@ def test_unreadable_terminal_is_usage_error(tmp_path, fig1_files):
     ["run", "--horizon", "-5"],
     ["simulate", "--x0", "1,2"],
     ["simulate", "--x0", "x"],
+    ["ensemble", "--seed", "-1"],
+    ["ensemble", {"seed": -1}],
+    ["census", "--seed", "-3"],
+    ["census", {"seed": -1}],
+    ["equilibria", "--seed", "-1"],
+    ["equilibria", {"seed": -1}],
+    ["simulate", "--seed", "-2"],
+    ["simulate", {"seed": -1}],
 ], ids=["cell-not-int", "cell-zero", "trials-negative", "target-zero",
-        "horizon-negative", "x0-length", "x0-not-numeric"])
+        "horizon-negative", "x0-length", "x0-not-numeric",
+        "ensemble-seed-negative", "ensemble-config-seed-negative",
+        "census-seed-negative", "census-config-seed-negative",
+        "equilibria-seed-negative", "equilibria-config-seed-negative",
+        "simulate-seed-negative", "simulate-config-seed-negative"])
 def test_malformed_numbers_are_usage_errors(tmp_path, fig1_files, capsys,
                                             args):
+    # A dict stands for a config file holding those entries.
     game_path, term_path = fig1_files
-    files = ["--game", str(game_path), "--terminal", str(term_path)]
-    rc = main(args + (files if args[0] in ("run", "simulate") else [])
-              + ["--out", str(tmp_path / "o")])
+    files = {"run": ["--game", str(game_path), "--terminal", str(term_path)],
+             "equilibria": ["--game", str(game_path)]}
+    files["simulate"] = files["run"]
+    command, *rest = args
+    argv = [command]
+    for arg in rest:
+        if isinstance(arg, dict):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(arg))
+            argv += ["--config", str(config)]
+        else:
+            argv.append(arg)
+    rc = main(argv + files.get(command, []) + ["--out", str(tmp_path / "o")])
     assert rc == 2
-    assert "usage error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage error" in err
+    if "seed" in str(args):
+        assert "--seed must be at least 0" in err
     assert not (tmp_path / "o").exists()
 
 

@@ -18,10 +18,11 @@ stop rule or without one, fully stored or in a ring buffer) and
 _minimal_period's period are those of the plain np.linalg.norm formulas
 and pair-by-pair scan, a full-horizon trace's values are the costs of
 playing its gains (the dynamic-programming identity), and run_recursion,
-which steps and checks in blocks over array storage, gives the states,
-gains and record of a step-by-step loop bit for bit, with one
-riccati_step call per step unless it diverges, and leaves its storage
-read-only.
+which steps and checks in blocks over one preallocated buffer, gives the
+states, gains and record of a step-by-step loop bit for bit, also after
+its ring buffer has slid, with one riccati_step call per step unless it
+diverges, and leaves its storage read-only and no larger than the states
+it keeps (a full-storage trace) or its ring (a longer one).
 """
 
 import warnings
@@ -41,7 +42,7 @@ from lqgames.experiments import (VERDICTS, _rng_for, random_game,
                                  random_terminal)
 from lqgames import riccati
 from lqgames.model import frobenius, stack_distances
-from lqgames.riccati import (BLOCK_STEPS, CHUNK_STEPS, DIVERGENCE_THRESHOLD,
+from lqgames.riccati import (BLOCK_STEPS, DIVERGENCE_THRESHOLD,
                              FULL_STORAGE_LIMIT, RING_BUFFER_SIZE,
                              SingularStageSystem, _stage_map_batch)
 from lqgames.simulate import finite_horizon_cost, simulate
@@ -626,10 +627,14 @@ def shared_stop():
     # Beyond FULL_STORAGE_LIMIT: a ring of 513 states when it diverges.
     (lq.GameSpec(1.02, [[0]], [1], [1]), [1.0], 20_000,
      ("diverged", 616, 104)),
+    # The same after the ring has slid its states down three times.
+    (lq.GameSpec(1.005, [[0]], [1], [1]), [1.0], 20_000,
+     ("diverged", 2308, 1796)),
     # The stage matrix at the first image, Q, is exactly singular.
     (lq.GameSpec(0, [1, 1], [-0.5, -0.5], [1, 1]), [1.0, 1.0], 1_000,
      ("singular", 1, 0)),
-], ids=["fig1", "diverged", "diverged-at-once", "ring-diverged", "singular"])
+], ids=["fig1", "diverged", "diverged-at-once", "ring-diverged",
+        "ring-slid-diverged", "singular"])
 def test_blocked_recursion_matches_step_by_step(game, terminal, horizon,
                                                 expect, shared_stop,
                                                 monkeypatch):
@@ -651,7 +656,7 @@ def test_blocked_recursion_matches_step_by_step(game, terminal, horizon,
 def test_blocked_recursion_matches_step_by_step_on_a_cycle(found_cycle,
                                                            shared_stop,
                                                            monkeypatch):
-    # A ring of states past chunk edges, every step taken.
+    # A ring of states slid down many times, every step taken.
     game, terminal, _ = found_cycle
     runs = _check_against_reference(game, terminal, FULL_STORAGE_LIMIT + 3,
                                     shared_stop, monkeypatch)
@@ -672,8 +677,10 @@ def test_blocked_recursion_matches_step_by_step_on_random_games(case,
                                                make()))
 
 
-@pytest.mark.parametrize("horizon", [30, 3 * CHUNK_STEPS + 5,
-                                     FULL_STORAGE_LIMIT + 3])
+# Two blocks of steps, many blocks, a ring that has slid, and a ring
+# that ends full, right before its next slide.
+@pytest.mark.parametrize("horizon", [30, 773, FULL_STORAGE_LIMIT + 3,
+                                     10_240])
 def test_finished_trace_storage_is_read_only(fig1_game, horizon):
     trace = lq.run_recursion(fig1_game, lq.PTuple([1.0, 2.0]), horizon)
     assert len(trace.values) == len(trace)
@@ -685,6 +692,38 @@ def test_finished_trace_storage_is_read_only(fig1_game, horizon):
             stack.setflags(write=True)
     # The states are views of the storage, not copies.
     assert trace.p_states[-1].stack.base is not None
+
+
+# The buffer a run allocates is its whole storage: exactly the states
+# when fully stored, also after a stop (a copy of the rows written), and
+# at most the ring's 2 * RING_BUFFER_SIZE + 1 states beyond
+# FULL_STORAGE_LIMIT.
+@pytest.mark.parametrize("game, terminal, horizon, stop, expect", [
+    (lq.GameSpec(5, [1, 1], [1, 1], [1, 2]), [1.0, 1.0], FULL_STORAGE_LIMIT,
+     lq.ConvergenceStop, ("converged", 24)),
+    (lq.GameSpec(2, [[0]], [1], [1]), [1.0], 1_000, lambda: None,
+     ("diverged", 20)),
+    (lq.GameSpec(5, [1, 1], [1, 1], [1, 2]), [1.0, 2.0], 2_000,
+     lambda: None, ("completed", 2_000)),
+    (lq.GameSpec(1.005, [[0]], [1], [1]), [1.0], 20_000, lambda: None,
+     ("diverged", 2308)),
+    (lq.GameSpec(5, [1, 1], [1, 1], [1, 2]), [1.0, 1.0], 20_000,
+     lq.ConvergenceStop, ("converged", 24)),
+    (lq.GameSpec(5, [1, 1], [1, 1], [1, 2]), [1.0, 2.0],
+     FULL_STORAGE_LIMIT + 3, lambda: None, ("completed", 10_003)),
+], ids=["converged", "diverged", "completed", "ring-diverged",
+        "ring-converged", "ring-completed"])
+def test_trace_storage_is_bounded_by_its_buffer(game, terminal, horizon,
+                                                 stop, expect):
+    trace = lq.run_recursion(game, lq.PTuple(terminal), horizon, stop())
+    assert (trace.terminated.reason, trace.steps) == expect
+    storage = trace.values.base
+    assert all(p.stack.base is storage for p in trace.p_states)
+    if horizon > FULL_STORAGE_LIMIT:
+        assert len(trace) == min(trace.steps, RING_BUFFER_SIZE) + 1
+        assert len(trace) <= len(storage) <= 2 * RING_BUFFER_SIZE + 1
+    else:
+        assert storage.shape == trace.values.shape
 
 
 def test_long_trace_holds_its_states_once():
