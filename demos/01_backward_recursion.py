@@ -10,6 +10,7 @@ settles on a stationary equilibrium.
 import numpy as np
 
 import lqgames as lq
+from lqgames.riccati import CONV_TOL
 
 # One shared unstable state, two players with different input prices.
 game = lq.GameSpec(A=5, B=[1, 1], Q=[1, 1], R=[1, 2])
@@ -39,8 +40,7 @@ for s in range(3):
     print(f"  step {s + 1}: P = {vals}")
 
 # Full run with a convergence stop.
-trace = lq.run_recursion(game, lq.PTuple([1.0, 1.0]), 1000,
-                         stop=lq.ConvergenceStop())
+trace = lq.run_recursion(game, lq.PTuple([1.0, 1.0]), 1000, tol=CONV_TOL)
 final = [round(float(np.asarray(m)[0, 0]), 8) for m in trace.final_state()]
 print(f"\nrecursion {trace.terminated.reason} after "
       f"{trace.terminated.steps} steps at P* = {final}")
@@ -50,7 +50,6 @@ print(f"fixed-point residual: "
 # The single-agent case is the classic regulator: with A=B=Q=R=1 the
 # limit is the golden ratio.
 lqr = lq.GameSpec(1, [1], [1], [1])
-trace = lq.run_recursion(lqr, lq.PTuple([1.0]), 200,
-                         stop=lq.ConvergenceStop(tol=1e-13))
+trace = lq.run_recursion(lqr, lq.PTuple([1.0]), 200, tol=1e-13)
 print(f"\nsingle-agent check: limit {float(trace.final_state()[0][0, 0]):.12f}"
       f" vs (1+sqrt(5))/2 = {(1 + np.sqrt(5)) / 2:.12f}")

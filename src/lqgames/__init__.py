@@ -10,10 +10,9 @@ equilibria, and some orbits stay bounded without ever settling.
 from .model import (GainTuple, GameSpec, PTuple, TerminalReport,
                     ValidationReport, pbh_stabilizable, validate_game,
                     validate_terminal)
-from .riccati import (ConvergenceStop, NoConvergence, RecursionTrace,
-                      SingularStageSystem, TerminationRecord, closed_loop,
-                      partial_closed_loop, periodic_best_response,
-                      riccati_step, run_recursion)
+from .riccati import (NoConvergence, RecursionTrace, SingularStageSystem,
+                      TerminationRecord, closed_loop, partial_closed_loop,
+                      periodic_best_response, riccati_step, run_recursion)
 from .analysis import (CertificationFailed, Classification, ClassifyOptions,
                        CycleCertificate, classify, detect_convergence,
                        detect_cycle, fixed_point_residual, spectral_radius,
@@ -34,7 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "GameSpec", "PTuple", "GainTuple", "ValidationReport", "validate_game",
     "TerminalReport", "validate_terminal", "pbh_stabilizable",
-    "RecursionTrace", "TerminationRecord", "ConvergenceStop", "riccati_step",
+    "RecursionTrace", "TerminationRecord", "riccati_step",
     "run_recursion", "closed_loop", "partial_closed_loop",
     "periodic_best_response", "SingularStageSystem", "NoConvergence",
     "Classification", "ClassifyOptions", "CycleCertificate",

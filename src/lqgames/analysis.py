@@ -40,9 +40,9 @@ import numpy as np
 
 from .model import (GainTuple, GameSpec, PTuple, stack_distances,
                     stack_stacks, validate_terminal)
-from .riccati import (CONV_WINDOW, ConvergenceStop, NoConvergence,
-                      RecursionTrace, SingularStageSystem, _agent_max,
-                      _one_blas_thread, closed_loop, periodic_best_response,
+from .riccati import (CONV_TOL, CONV_WINDOW, NoConvergence, RecursionTrace,
+                      SingularStageSystem, _agent_max, _one_blas_thread,
+                      _window_closes, closed_loop, periodic_best_response,
                       riccati_step, run_recursion)
 
 VERDICT_CONVERGED = "converged"
@@ -144,19 +144,19 @@ def detect_convergence(trace: RecursionTrace) -> tuple[PTuple, int] | None:
     relative step changes (max over agents of ||P_{s+1}^i - P_s^i||_F
     scaled by 1 + ||P_s^i||_F) all fall below CONV_TOL, and returns the state
     closing that window together with s*. Step counts are absolute even
-    when the trace retains only a trailing window. The rule is
-    ConvergenceStop's, so a recursion that stopped on it settled
-    CONV_WINDOW steps before its end. The changes are the recursion's
-    own, taken in one stack_distances call over the trace's values.
+    when the trace retains only a trailing window. The rule is the one
+    run_recursion stops on given tol=CONV_TOL, so a recursion that stopped
+    on it settled CONV_WINDOW steps before its end. The changes are the
+    recursion's own, taken in one stack_distances call over the trace's
+    values.
     """
     values = trace.values
-    rule = ConvergenceStop()
-    changes = _agent_max(stack_distances(values[:-1], values[1:]))
-    for s, rel in enumerate(changes):
-        if rule(s + 1, rel):
-            return (trace.p_states[s + 1],
-                    trace.first_step + s + 1 - CONV_WINDOW)
-    return None
+    closed, _ = _window_closes(
+        _agent_max(stack_distances(values[:-1], values[1:])), CONV_TOL)
+    if closed is None:
+        return None
+    return (trace.p_states[closed + 1],
+            trace.first_step + closed + 1 - CONV_WINDOW)
 
 
 def _minimal_period(values: np.ndarray, tol: float, max_period: int,
@@ -325,10 +325,10 @@ def classify(game: GameSpec, terminal: PTuple,
     """Run the recursion and name its asymptotic regime.
 
     Convergence is read from the termination record: the recursion stops
-    on the ConvergenceStop rule, which is the rule detect_convergence
-    applies, so the trace is not scanned a second time. Convergence comes
-    before cycles (a settled trace is never reported as a period-1 cycle);
-    anything bounded that the cycle detector does not claim is
+    at tolerance CONV_TOL on the rule detect_convergence applies, so the
+    trace is not scanned a second time. Convergence comes before cycles
+    (a settled trace is never reported as a period-1 cycle); anything
+    bounded that the cycle detector does not claim is
     bounded_nonconvergent, with the sup norm over the whole orbit.
     Deterministic for fixed inputs and horizon. Raises ValueError, listing
     the failures, for a terminal that validate_terminal rejects.
@@ -338,7 +338,7 @@ def classify(game: GameSpec, terminal: PTuple,
         raise ValueError(f"invalid terminal cost: {report.failure_text()}")
     if opts is None:
         opts = ClassifyOptions()
-    trace = run_recursion(game, terminal, opts.horizon, stop=ConvergenceStop())
+    trace = run_recursion(game, terminal, opts.horizon, tol=CONV_TOL)
     term = trace.terminated
 
     if term.reason == "singular":

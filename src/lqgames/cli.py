@@ -41,8 +41,7 @@ from .equilibria import (NoEquilibriumFound, residual_descent_search,
 from .experiments import (CensusIncomplete, cycle_census, run_basin_grid,
                           run_ensemble)
 from .model import PTuple, validate_game, validate_terminal
-from .riccati import (FULL_STORAGE_LIMIT, ConvergenceStop, _one_blas_thread,
-                      run_recursion)
+from .riccati import FULL_STORAGE_LIMIT, _one_blas_thread, run_recursion
 from .simulate import simulate
 
 # Integer options that count steps or items and must be at least 1.
@@ -302,10 +301,8 @@ def dispatch(config: RunConfig) -> int:
     elif config.command == "run":
         game = _load_game(config)
         terminal = _load_terminal(config, game)
-        stop = None
-        if p["conv-tol"] > 0:
-            stop = ConvergenceStop(tol=p["conv-tol"])
-        trace = run_recursion(game, terminal, p["horizon"], stop=stop)
+        trace = run_recursion(game, terminal, p["horizon"],
+                              tol=p["conv-tol"] or None)
         prov = {"command": "run", "horizon": p["horizon"],
                 "conv_tol": p["conv-tol"]}
         save("trace.csv", fileio.write_trace_csv, trace, prov)

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .model import (GainTuple, GameSpec, PTuple, stack_distances, stack_norms,
                     stack_stacks, symmetrize)
@@ -40,7 +39,7 @@ FULL_STORAGE_LIMIT = 10_000
 # Ring size: enough for cycle detection up to analysis.MAX_PERIOD.
 RING_BUFFER_SIZE = 512
 # A recursion checks its steps in blocks of at most this many (fewer when
-# a stop rule could fire sooner or a ring buffer fills).
+# its convergence window could close sooner or a ring buffer fills).
 BLOCK_STEPS = 16
 # Best-response iteration: relative settling tolerance and step budget.
 BEST_RESPONSE_TOL = 1e-12
@@ -132,11 +131,10 @@ class RecursionTrace:
         return [self.gains[horizon - 1 - t] for t in range(horizon)]
 
 
-def _load_flapack():
+def _load_flapack(where: Path):
     """scipy's f2py LAPACK extension, loaded by file from scipy's linalg
-    directory without importing the scipy.linalg package."""
-    where = str(Path(scipy.__file__).parent / "linalg")
-    spec = importlib.machinery.PathFinder.find_spec("_flapack", [where])
+    directory, where, without importing the scipy.linalg package."""
+    spec = importlib.machinery.PathFinder.find_spec("_flapack", [str(where)])
     if spec is None:
         raise ImportError(f"scipy's _flapack extension not found in {where}")
     module = importlib.util.module_from_spec(spec)
@@ -144,13 +142,16 @@ def _load_flapack():
     return module
 
 
+# scipy's package directory, found without importing scipy at all.
+_scipy_dir = Path(importlib.util.find_spec("scipy").origin).parent
+
 # LAPACK routines for the float64 stage system, fetched once: the f2py
 # wrappers that scipy.linalg.get_lapack_funcs returns for float64. The
 # scipy.linalg package is not imported because its array-API layer loads
 # numpy.f2py, numpy.testing, numpy.ma and unittest, which lqgames never
 # uses and which nearly double the cold start of every command. gesv is
 # getrf then getrs, so its solution is the one those two give.
-_flapack = _load_flapack()
+_flapack = _load_flapack(_scipy_dir / "linalg")
 _gesv, _gecon, _lange = _flapack.dgesv, _flapack.dgecon, _flapack.dlange
 
 
@@ -165,8 +166,8 @@ def _blas_thread_controls() -> tuple:
     numpy and scipy, found by their exported names through ctypes on first
     use; empty where there are none (another BLAS, another layout)."""
     controls = []
-    for module in (np, scipy):
-        libs = Path(module.__file__).parent.parent / f"{module.__name__}.libs"
+    for package in (Path(np.__file__).parent, _scipy_dir):
+        libs = package.parent / f"{package.name}.libs"
         for lib in sorted(libs.glob("*openblas*")):
             try:
                 handle = ctypes.CDLL(str(lib))
@@ -402,29 +403,16 @@ CONV_TOL = 1e-9
 CONV_WINDOW = 10
 
 
-class ConvergenceStop:
-    """Stop rule firing after CONV_WINDOW consecutive relative step changes
-    below `tol`. The run count restarts at step 1, so one instance can be
-    reused across recursions."""
-
-    def __init__(self, tol: float = CONV_TOL):
-        self.tol = tol
-        self._run = 0
-
-    def __call__(self, step: int, rel_change: float) -> bool:
-        if step == 1:
-            self._run = 0
-        if rel_change < self.tol:
-            self._run += 1
-        else:
-            self._run = 0
-        return self._run >= CONV_WINDOW
-
-    def _steps_to_fire(self, step: int) -> int:
-        """How many calls, starting with the one for `step`, the rule
-        needs at least before it can fire; run_recursion ends a block of
-        steps there at the latest."""
-        return CONV_WINDOW if step == 1 else CONV_WINDOW - self._run
+def _window_closes(changes, tol: float, run: int = 0):
+    """The convergence rule over consecutive relative step changes: the
+    index of the first change at which the count of consecutive changes
+    below tol, starting from run, reaches CONV_WINDOW, and that count;
+    or None and the count after the last change."""
+    for j, rel in enumerate(changes):
+        run = run + 1 if rel < tol else 0
+        if run >= CONV_WINDOW:
+            return j, run
+    return None, run
 
 
 def _agent_max(rows: np.ndarray) -> list[float]:
@@ -435,15 +423,17 @@ def _agent_max(rows: np.ndarray) -> list[float]:
 
 
 def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
-                  stop: ConvergenceStop | None = None) -> RecursionTrace:
+                  tol: float | None = None) -> RecursionTrace:
     """Iterate the backward map from a terminal value tuple.
 
     Records every state and gain up to FULL_STORAGE_LIMIT steps; longer
     runs retain a trailing ring buffer of RING_BUFFER_SIZE steps. Stops
     early on divergence (norm above DIVERGENCE_THRESHOLD), a singular
-    stage, or convergence under the stop rule; the termination record says
-    which and carries the sup norm over every state visited, terminal
-    included. Early stops are recorded, never raised.
+    stage, or, given a tolerance tol, convergence: CONV_WINDOW consecutive
+    relative step changes below tol, the rule detect_convergence applies
+    (tol 0 takes every change and never fires). The termination record
+    says which and carries the sup norm over every state visited,
+    terminal included. Early stops are recorded, never raised.
 
     Each step's values are copied into one buffer allocated when the run
     starts: the horizon's states, terminal first, or a ring of
@@ -451,13 +441,14 @@ def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
     RING_BUFFER_SIZE + 1 to its front. The trace's read-only values, and
     its states, are views of that buffer, except that a full-storage run
     that stops early keeps a copy of the rows it wrote, so a long
-    horizon's unused rows do not outlive the run. The norms,
-    changes and tests of a block of steps are taken together after it:
-    one stack_norms call gives every state's agent norms and, with a stop
-    rule, one stack_distances call every step's change; final_residual is
-    the change between the last two states kept. A block ends no later
-    than the first step at which the stop rule could fire, so a run that
-    completes or converges takes exactly its steps. Steps after a
+    horizon's unused rows do not outlive the run. The norms, changes and
+    tests of a block of steps are taken together after it: one
+    stack_norms call gives every state's agent norms and, with a
+    tolerance, the norms of every step's difference, which over 1 + the
+    state norms are the changes stack_distances gives; final_residual is
+    the change between the last two states kept. With a tolerance a block
+    ends no later than the step at which the window could close, so a run
+    that completes or converges takes exactly its steps. Steps after a
     divergence inside a block are discarded, and overflow or invalid
     values met during the run do not warn.
     """
@@ -473,6 +464,7 @@ def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
     reason = "completed"
     rcond = None
     steps = 0
+    run = 0                     # consecutive changes below tol so far
     # Overflow or invalid values in the steps a divergence discards must
     # not warn; a kept step that meets them ends the run, diverged or
     # singular, so the record says what a warning would.
@@ -482,8 +474,8 @@ def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
                 buf[:RING_BUFFER_SIZE + 1] = buf[-RING_BUFFER_SIZE - 1:]
                 row = RING_BUFFER_SIZE
             size = min(BLOCK_STEPS, max_steps - steps, len(buf) - 1 - row)
-            if stop is not None:
-                size = min(size, stop._steps_to_fire(steps + 1))
+            if tol is not None:
+                size = min(size, CONV_WINDOW - run)
             new_gains = []
             singular = None
             try:
@@ -494,12 +486,15 @@ def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
             except SingularStageSystem as err:
                 singular = err
             kept = taken = len(new_gains)
-            if taken:
-                block = buf[row:row + taken + 1]
+            block = buf[row:row + taken + 1]
+            if tol is None:
                 tops = _agent_max(stack_norms(block[1:]))
-                if stop is not None:
-                    changes = _agent_max(stack_distances(block[:-1],
-                                                         block[1:]))
+            else:
+                norms = stack_norms(np.concatenate((block,
+                                                    block[:-1] - block[1:])))
+                tops = _agent_max(norms[1:taken + 1])
+                changes = _agent_max(norms[taken + 1:]
+                                     / (1.0 + norms[:taken]))
             for j in range(taken):
                 top = tops[j]
                 if top > sup:
@@ -508,12 +503,16 @@ def run_recursion(game: GameSpec, terminal: PTuple, max_steps: int,
                     reason = "diverged"
                     kept = j + 1
                     break
-                if stop is not None and stop(steps + j + 1, changes[j]):
-                    reason = "converged"
-                    kept = j + 1
-                    break
             else:
-                if singular is not None:
+                # The block ends where the window could first close, so
+                # it closes, if at all, on the block's last step.
+                closed = None
+                if tol is not None:
+                    closed, run = _window_closes(changes, tol, run)
+                if closed is not None:
+                    reason = "converged"
+                    kept = closed + 1
+                elif singular is not None:
                     reason = "singular"
                     rcond = singular.rcond
             gains.extend(new_gains[:kept])
@@ -554,10 +553,14 @@ def periodic_best_response(game: GameSpec, i: int, gain_cycle,
     stages = [_Stage(partial_closed_loop(game, k, i), (game.B[i],),
                      (game.Q[i],), (game.R[i],)) for k in gain_cycle]
     V = np.repeat(stages[0].Q[None], L, axis=0)     # (L, 1, n, n)
+    prev = np.empty_like(V)
     for _ in range(BEST_RESPONSE_MAX_STEPS // L):
-        prev = V.copy()
-        for l in range(L - 1, -1, -1):
-            V[l], _ = _stage_map(stages[l], V[(l + 1) % L])
+        # Each sweep writes over the one before the last: slot L-1 reads
+        # the last sweep's slot 0, every other slot the one just written.
+        prev, V = V, prev
+        V[L - 1], _ = _stage_map(stages[L - 1], prev[0])
+        for l in range(L - 2, -1, -1):
+            V[l], _ = _stage_map(stages[l], V[l + 1])
         change = max(stack_distances(prev, V).ravel().tolist())
         if change < BEST_RESPONSE_TOL:
             gains = [_stage_map(stages[l], V[(l + 1) % L])[1]

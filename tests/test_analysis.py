@@ -7,7 +7,7 @@ import lqgames as lq
 from lqgames.analysis import CYCLE_WINDOW, MAX_PERIOD, _minimal_period
 from lqgames.experiments import _rng_for, random_game
 from lqgames.model import stack_distances
-from lqgames.riccati import (CONV_WINDOW, FULL_STORAGE_LIMIT,
+from lqgames.riccati import (CONV_TOL, CONV_WINDOW, FULL_STORAGE_LIMIT,
                              RING_BUFFER_SIZE, RecursionTrace,
                              TerminationRecord, _agent_max)
 
@@ -108,11 +108,13 @@ def test_detect_convergence_alternating_trace_returns_none():
 
 
 def reference_convergence(trace):
-    """detect_convergence as a loop over PTuple.distance of each pair."""
+    """detect_convergence as a loop over PTuple.distance of each pair,
+    counting the changes below CONV_TOL in a row itself."""
     states = trace.p_states
-    rule = lq.ConvergenceStop()
+    run = 0
     for s in range(len(states) - 1):
-        if rule(s + 1, states[s].distance(states[s + 1])):
+        run = run + 1 if states[s].distance(states[s + 1]) < CONV_TOL else 0
+        if run == CONV_WINDOW:
             return states[s + 1], trace.first_step + s + 1 - CONV_WINDOW
     return None
 

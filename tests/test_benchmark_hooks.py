@@ -67,8 +67,8 @@ def test_recursion_steps_through_riccati_step(monkeypatch, fig1_game):
     assert len(calls) == trace.steps
     calls.clear()
     opts = ClassifyOptions()
-    stop = riccati.ConvergenceStop()
-    trace = riccati.run_recursion(fig1_game, terminal, opts.horizon, stop)
+    trace = riccati.run_recursion(fig1_game, terminal, opts.horizon,
+                                  riccati.CONV_TOL)
     calls.clear()
     assert analysis.classify(fig1_game, terminal, opts).verdict == "converged"
     assert len(calls) == trace.steps

@@ -440,6 +440,22 @@ def test_scipy_optimize_loads_only_for_descent(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+# The stage solve loads scipy's LAPACK extension by file and finds scipy's
+# directories without importing it, so no scipy module is loaded at all.
+_NO_SCIPY = """
+import sys
+import lqgames, lqgames.cli
+scipy = sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not scipy, scipy
+"""
+
+
+def test_import_loads_no_scipy_module():
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_output_dir_not_clobbered(tmp_path, fig1_files):
     game_path, _ = fig1_files
     out = tmp_path / "out"

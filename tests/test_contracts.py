@@ -14,15 +14,16 @@ singular member left non-finite on its own, the gains solve the stacked
 stage system to a small residual and every agent's value equals the
 explicit update form, classify gives every valid game and terminal a
 verdict without raising, run_recursion's residual and sup norm (with a
-stop rule or without one, fully stored or in a ring buffer) and
+tolerance or without one, fully stored or in a ring buffer) and
 _minimal_period's period are those of the plain np.linalg.norm formulas
 and pair-by-pair scan, a full-horizon trace's values are the costs of
 playing its gains (the dynamic-programming identity), and run_recursion,
 which steps and checks in blocks over one preallocated buffer, gives the
 states, gains and record of a step-by-step loop bit for bit, also after
 its ring buffer has slid, with one riccati_step call per step unless it
-diverges, and leaves its storage read-only and no larger than the states
-it keeps (a full-storage trace) or its ring (a longer one).
+diverges, carries no state from one run into another, and leaves its
+storage read-only and no larger than the states it keeps (a full-storage
+trace) or its ring (a longer one).
 """
 
 import warnings
@@ -31,7 +32,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import mutually_broadcastable_shapes
 from scipy.linalg import lu_factor, lu_solve
 
@@ -42,9 +43,10 @@ from lqgames.experiments import (VERDICTS, _rng_for, random_game,
                                  random_terminal)
 from lqgames import riccati
 from lqgames.model import frobenius, stack_distances
-from lqgames.riccati import (BLOCK_STEPS, DIVERGENCE_THRESHOLD,
-                             FULL_STORAGE_LIMIT, RING_BUFFER_SIZE,
-                             SingularStageSystem, _stage_map_batch)
+from lqgames.riccati import (BLOCK_STEPS, CONV_TOL, CONV_WINDOW,
+                             DIVERGENCE_THRESHOLD, FULL_STORAGE_LIMIT,
+                             RING_BUFFER_SIZE, SingularStageSystem,
+                             _stage_map_batch)
 from lqgames.simulate import finite_horizon_cost, simulate
 
 CELLS = [(1, 1, 2), (2, 1, 3), (3, 3, 2)]
@@ -394,34 +396,33 @@ def _assert_same_record(a, b):
 
 
 def _check_no_stop_record(game, terminal, horizon, trace):
-    """A run without a stop rule (trace) records what the rule that reads
-    every step's change and never fires, tol 0, records."""
-    never = lq.run_recursion(game, terminal, horizon,
-                             stop=lq.ConvergenceStop(tol=0.0))
+    """A run without a tolerance (trace) records what a run at tol 0,
+    which reads every step's change and never stops on it, records."""
+    never = lq.run_recursion(game, terminal, horizon, tol=0.0)
     _assert_same_record(trace.terminated, never.terminated)
 
 
 @PROPERTY
 @given(st.one_of(games(), mixed_games()), st.integers(0, 200))
 def test_recursion_norms_match_numpy(case, horizon):
-    # Both kinds of run: a stop rule reads the change of every step, and
+    # Both kinds of run: a tolerance reads the change of every step, and
     # without one only the last step's change is taken.
     game, terminal = case
     _check_recursion_norms(lq.run_recursion(game, terminal, horizon,
-                                            stop=lq.ConvergenceStop()))
+                                            tol=CONV_TOL))
     trace = lq.run_recursion(game, terminal, horizon)
     _check_recursion_norms(trace)
     _check_no_stop_record(game, terminal, horizon, trace)
 
 
-@pytest.mark.parametrize("stop", [None, lq.ConvergenceStop],
+@pytest.mark.parametrize("tol", [None, CONV_TOL],
                          ids=["no-stop", "convergence-stop"])
-def test_recursion_norms_match_numpy_with_a_ring_buffer(stop, found_cycle):
+def test_recursion_norms_match_numpy_with_a_ring_buffer(tol, found_cycle):
     # A cycle never converges, so both runs take every step and keep only
     # the trailing ring of states.
     game, terminal, _ = found_cycle
     horizon = FULL_STORAGE_LIMIT + 3
-    trace = lq.run_recursion(game, terminal, horizon, stop=stop and stop())
+    trace = lq.run_recursion(game, terminal, horizon, tol=tol)
     assert trace.terminated.reason == "completed"
     assert trace.first_step > 0
     visited = [terminal]
@@ -431,7 +432,7 @@ def test_recursion_norms_match_numpy_with_a_ring_buffer(stop, found_cycle):
                  [p.stack for p in visited[trace.first_step:]])
     assert trace.terminated.final_residual > 0.0
     _check_recursion_norms(trace, visited)
-    if stop is None:
+    if tol is None:
         _check_no_stop_record(game, terminal, horizon, trace)
 
 
@@ -539,14 +540,15 @@ def test_dynamic_programming_cost_identity(case, horizon, seed):
 # ---------------------------------------------------------------------------
 # the blocked recursion against a step-by-step loop
 
-def reference_recursion(game, terminal, max_steps, stop=None):
+def reference_recursion(game, terminal, max_steps, tol=None):
     """run_recursion one step at a time: norms, change, divergence test and
-    stop rule after every step, through PTuple's own norm and distance."""
+    the count of consecutive changes below tol after every step, through
+    PTuple's own norm and distance."""
     ring = max_steps > FULL_STORAGE_LIMIT
     states = deque([terminal],
                    maxlen=RING_BUFFER_SIZE + 1 if ring else None)
     gains = deque(maxlen=RING_BUFFER_SIZE if ring else None)
-    p, sup, steps = terminal, terminal.max_norm(), 0
+    p, sup, steps, run = terminal, terminal.max_norm(), 0, 0
     reason, rel, rcond = "completed", float("inf"), None
     for s in range(max_steps):
         try:
@@ -562,9 +564,11 @@ def reference_recursion(game, terminal, max_steps, stop=None):
         if p.max_norm() > DIVERGENCE_THRESHOLD:
             reason = "diverged"
             break
-        if stop is not None and stop(steps, rel):
-            reason = "converged"
-            break
+        if tol is not None:
+            run = run + 1 if rel < tol else 0
+            if run == CONV_WINDOW:
+                reason = "converged"
+                break
     record = lq.TerminationRecord(reason, steps,
                                   rel if np.isfinite(rel) else -1.0, rcond,
                                   sup)
@@ -581,14 +585,12 @@ def _assert_same_trace(got, want):
     _assert_same_record(got.terminated, want.terminated)
 
 
-STOPS = {"no-stop": lambda: None,
-         "convergence-stop": lq.ConvergenceStop,
-         "never-fires": lambda: lq.ConvergenceStop(0.0)}
+STOPS = {"no-stop": None, "convergence-stop": CONV_TOL, "never-fires": 0.0}
 
 
-def _check_against_reference(game, terminal, horizon, shared, monkeypatch):
-    """Every stop variant, a fresh rule and the shared one, against the
-    step-by-step loop; returns the traces and riccati_step calls."""
+def _check_against_reference(game, terminal, horizon, monkeypatch):
+    """Every tolerance against the step-by-step loop; returns the traces
+    and riccati_step calls."""
     calls = []
     step = riccati.riccati_step
 
@@ -597,27 +599,19 @@ def _check_against_reference(game, terminal, horizon, shared, monkeypatch):
         return step(*args, **kwargs)
 
     runs = {}
-    for name, make in STOPS.items():
-        want = reference_recursion(game, terminal, horizon, make())
+    for name, tol in STOPS.items():
+        want = reference_recursion(game, terminal, horizon, tol)
         monkeypatch.setattr(riccati, "riccati_step", counting)
         calls.clear()
-        got = lq.run_recursion(game, terminal, horizon, make())
+        got = lq.run_recursion(game, terminal, horizon, tol)
         monkeypatch.setattr(riccati, "riccati_step", step)
         _assert_same_trace(got, want)
         runs[name] = got, len(calls)
-    again = lq.run_recursion(game, terminal, horizon, shared)
-    _assert_same_trace(again, runs["convergence-stop"][0])
     return runs
 
 
-@pytest.fixture(scope="module")
-def shared_stop():
-    """One rule reused across every run of the module's recursion cases."""
-    return lq.ConvergenceStop()
-
-
 @pytest.mark.parametrize("game, terminal, horizon, expect", [
-    # Fig. 1 from [1, 1]: converges at step 24 under the stop rule.
+    # Fig. 1 from [1, 1]: converges at step 24 at CONV_TOL.
     (lq.GameSpec(5, [1, 1], [1, 1], [1, 2]), [1.0, 1.0], 1_000,
      ("converged", 24, 0)),
     # P grows by A^2 every step.
@@ -636,12 +630,11 @@ def shared_stop():
 ], ids=["fig1", "diverged", "diverged-at-once", "ring-diverged",
         "ring-slid-diverged", "singular"])
 def test_blocked_recursion_matches_step_by_step(game, terminal, horizon,
-                                                expect, shared_stop,
-                                                monkeypatch):
+                                                expect, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         runs = _check_against_reference(game, lq.PTuple(terminal), horizon,
-                                         shared_stop, monkeypatch)
+                                         monkeypatch)
     trace, calls = runs["convergence-stop"]
     assert (trace.terminated.reason, trace.steps, trace.first_step) == expect
     for trace, calls in runs.values():
@@ -654,12 +647,11 @@ def test_blocked_recursion_matches_step_by_step(game, terminal, horizon,
 
 
 def test_blocked_recursion_matches_step_by_step_on_a_cycle(found_cycle,
-                                                           shared_stop,
                                                            monkeypatch):
     # A ring of states slid down many times, every step taken.
     game, terminal, _ = found_cycle
     runs = _check_against_reference(game, terminal, FULL_STORAGE_LIMIT + 3,
-                                    shared_stop, monkeypatch)
+                                    monkeypatch)
     for trace, calls in runs.values():
         assert trace.terminated.reason == "completed"
         assert calls == trace.steps == FULL_STORAGE_LIMIT + 3
@@ -671,10 +663,48 @@ def test_blocked_recursion_matches_step_by_step_on_a_cycle(found_cycle,
 def test_blocked_recursion_matches_step_by_step_on_random_games(case,
                                                                 horizon):
     game, terminal = case
-    for make in STOPS.values():
-        _assert_same_trace(lq.run_recursion(game, terminal, horizon, make()),
-                           reference_recursion(game, terminal, horizon,
-                                               make()))
+    for tol in STOPS.values():
+        _assert_same_trace(lq.run_recursion(game, terminal, horizon, tol),
+                           reference_recursion(game, terminal, horizon, tol))
+
+
+FIG1 = lq.GameSpec(5, [1, 1], [1, 1], [1, 2])
+
+
+@PROPERTY
+@given(st.one_of(games(), mixed_games()), st.one_of(games(), mixed_games()),
+       st.sampled_from(list(STOPS.values())), st.integers(0, 200),
+       st.floats(0.0, 1.0))
+# Two Fig. 1 runs that converge, at steps 24 and 20, the second made in
+# the middle of the first's second block of steps.
+@example((FIG1, lq.PTuple([1.0, 1.0])), (FIG1, lq.PTuple([1.0, 2.0])),
+         CONV_TOL, 1_000, 0.6)
+def test_interleaved_recursions_match_each_alone(outer, inner, tol, horizon,
+                                                 where):
+    # A second run made from inside one of the first's stage steps, the
+    # fraction `where` of the way through it, at the same tolerance (as
+    # one run may call another, or a thread start one): neither run sees
+    # the other's count of small changes.
+    alone = [lq.run_recursion(game, terminal, horizon, tol)
+             for game, terminal in (outer, inner)]
+    at = 1 + int(where * max(alone[0].steps - 1, 0))
+    nested = []
+    step = riccati.riccati_step
+
+    def interleaving(p, game):
+        nested.append(None)
+        if len(nested) == at:
+            nested.append(lq.run_recursion(*inner, horizon, tol))
+        return step(p, game)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(riccati, "riccati_step", interleaving)
+        first = lq.run_recursion(*outer, horizon, tol)
+    _assert_same_trace(first, alone[0])
+    runs = [r for r in nested if r is not None]
+    assert len(runs) == 1 or (not runs and horizon == 0)
+    for run in runs:
+        _assert_same_trace(run, alone[1])
 
 
 # Two blocks of steps, many blocks, a ring that has slid, and a ring
@@ -698,24 +728,23 @@ def test_finished_trace_storage_is_read_only(fig1_game, horizon):
 # when fully stored, also after a stop (a copy of the rows written), and
 # at most the ring's 2 * RING_BUFFER_SIZE + 1 states beyond
 # FULL_STORAGE_LIMIT.
-@pytest.mark.parametrize("game, terminal, horizon, stop, expect", [
+@pytest.mark.parametrize("game, terminal, horizon, tol, expect", [
     (lq.GameSpec(5, [1, 1], [1, 1], [1, 2]), [1.0, 1.0], FULL_STORAGE_LIMIT,
-     lq.ConvergenceStop, ("converged", 24)),
-    (lq.GameSpec(2, [[0]], [1], [1]), [1.0], 1_000, lambda: None,
-     ("diverged", 20)),
-    (lq.GameSpec(5, [1, 1], [1, 1], [1, 2]), [1.0, 2.0], 2_000,
-     lambda: None, ("completed", 2_000)),
-    (lq.GameSpec(1.005, [[0]], [1], [1]), [1.0], 20_000, lambda: None,
+     CONV_TOL, ("converged", 24)),
+    (lq.GameSpec(2, [[0]], [1], [1]), [1.0], 1_000, None, ("diverged", 20)),
+    (lq.GameSpec(5, [1, 1], [1, 1], [1, 2]), [1.0, 2.0], 2_000, None,
+     ("completed", 2_000)),
+    (lq.GameSpec(1.005, [[0]], [1], [1]), [1.0], 20_000, None,
      ("diverged", 2308)),
-    (lq.GameSpec(5, [1, 1], [1, 1], [1, 2]), [1.0, 1.0], 20_000,
-     lq.ConvergenceStop, ("converged", 24)),
+    (lq.GameSpec(5, [1, 1], [1, 1], [1, 2]), [1.0, 1.0], 20_000, CONV_TOL,
+     ("converged", 24)),
     (lq.GameSpec(5, [1, 1], [1, 1], [1, 2]), [1.0, 2.0],
-     FULL_STORAGE_LIMIT + 3, lambda: None, ("completed", 10_003)),
+     FULL_STORAGE_LIMIT + 3, None, ("completed", 10_003)),
 ], ids=["converged", "diverged", "completed", "ring-diverged",
         "ring-converged", "ring-completed"])
 def test_trace_storage_is_bounded_by_its_buffer(game, terminal, horizon,
-                                                 stop, expect):
-    trace = lq.run_recursion(game, lq.PTuple(terminal), horizon, stop())
+                                                 tol, expect):
+    trace = lq.run_recursion(game, lq.PTuple(terminal), horizon, tol)
     assert (trace.terminated.reason, trace.steps) == expect
     storage = trace.values.base
     assert all(p.stack.base is storage for p in trace.p_states)
@@ -727,9 +756,10 @@ def test_trace_storage_is_bounded_by_its_buffer(game, terminal, horizon,
 
 
 def test_long_trace_holds_its_states_once():
-    # 10 000 steps fill 40 chunks, joined once when the run ends: the
-    # values own one array of exactly the states, and every state is a
-    # view of it, so no chunk outlives the run.
+    # A 10 000-step run fills the one buffer it allocated when it
+    # started, 10 001 states: the values are a view of that buffer,
+    # exactly the states, and every state is a view of it too, so the
+    # trace holds each state once.
     rng = _rng_for(0, 2, 0)
     game = random_game(3, 3, 2, rng)
     trace = lq.run_recursion(game, random_terminal(game, rng), 10_000)

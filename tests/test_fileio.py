@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import lqgames as lq
 from lqgames import fileio
 from lqgames.experiments import VERDICTS, _rng_for, random_game
-from lqgames.riccati import FULL_STORAGE_LIMIT
+from lqgames.riccati import CONV_TOL, FULL_STORAGE_LIMIT
 from lqgames.simulate import Trajectory
 from test_contracts import games, mixed_games
 
@@ -351,7 +351,7 @@ def test_ring_buffer_and_certificate_figures_match_oracle(tmp_path,
 
 def test_termination_json(tmp_path, fig1_game):
     trace = lq.run_recursion(fig1_game, lq.PTuple([1.0, 1.0]), 50,
-                             stop=lq.ConvergenceStop())
+                             tol=CONV_TOL)
     path = tmp_path / "term.json"
     fileio.write_termination_json(trace.terminated, path)
     doc = json.loads(path.read_text())

@@ -9,7 +9,7 @@ from scipy.linalg import solve_discrete_are
 import lqgames as lq
 from lqgames import riccati
 from lqgames.experiments import _rng_for, random_game
-from lqgames.riccati import CONV_WINDOW
+from lqgames.riccati import CONV_TOL, CONV_WINDOW
 from conftest import random_pd_tuple
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -89,13 +89,10 @@ def test_stage_solve_wrappers_are_scipys():
     assert err.value.rcond == rcond
 
 
-def test_missing_flapack_names_the_directory(monkeypatch, tmp_path):
-    fake = type(sys)("scipy")
-    fake.__file__ = str(tmp_path / "scipy" / "__init__.py")
-    monkeypatch.setattr(riccati, "scipy", fake)
-    where = re.escape(str(tmp_path / "scipy" / "linalg"))
-    with pytest.raises(ImportError, match=where):
-        riccati._load_flapack()
+def test_missing_flapack_names_the_directory(tmp_path):
+    where = tmp_path / "scipy" / "linalg"
+    with pytest.raises(ImportError, match=re.escape(str(where))):
+        riccati._load_flapack(where)
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +234,13 @@ def test_best_response_gain_consistency_random():
 
 def test_recursion_fig1_converges(fig1_game):
     trace = lq.run_recursion(fig1_game, lq.PTuple([1.0, 1.0]), 1000,
-                             stop=lq.ConvergenceStop())
+                             tol=CONV_TOL)
     assert trace.terminated.reason == "converged"
     assert lq.fixed_point_residual(trace.final_state(), fig1_game) < 1e-8
 
 
 def test_recursion_scalar_lqr_golden_ratio(scalar_lqr):
-    trace = lq.run_recursion(scalar_lqr, lq.PTuple([1.0]), 500,
-                             stop=lq.ConvergenceStop(tol=1e-13))
+    trace = lq.run_recursion(scalar_lqr, lq.PTuple([1.0]), 500, tol=1e-13)
     limit = float(np.asarray(trace.final_state()[0])[0, 0])
     assert limit == pytest.approx(GOLDEN, abs=1e-10)
     gains = lq.riccati_step(trace.final_state(), scalar_lqr)[1]
@@ -347,25 +343,22 @@ def test_forward_gains_order(fig1_game):
 
 
 def test_convergence_stop_requires_consecutive_run():
-    stop = lq.ConvergenceStop(tol=1e-6)
     W = CONV_WINDOW
     seq = [1e-7] * (W - 1) + [1e-3] + [1e-7] * W
-    fired = [stop(i + 1, r) for i, r in enumerate(seq)]
-    assert fired == [False] * (2 * W - 1) + [True]
+    # The window closes on the last change, and on none before it.
+    assert riccati._window_closes(seq, 1e-6) == (2 * W - 1, W)
+    assert riccati._window_closes(seq[:-1], 1e-6) == (None, W - 1)
 
 
 def test_convergence_stop_reusable_across_runs(fig1_game):
-    stop = lq.ConvergenceStop()
     first = lq.run_recursion(fig1_game, lq.PTuple([1.0, 1.0]), 1000,
-                             stop=stop)
+                             tol=CONV_TOL)
     assert first.terminated.reason == "converged"
-    # restarting from the settled point needs a full window again, exactly
-    # as a fresh instance does
-    again = lq.run_recursion(fig1_game, first.final_state(), 1000, stop=stop)
-    fresh = lq.run_recursion(fig1_game, first.final_state(), 1000,
-                             stop=lq.ConvergenceStop())
+    # restarting from the settled point needs a full window again
+    again = lq.run_recursion(fig1_game, first.final_state(), 1000,
+                             tol=CONV_TOL)
     assert again.terminated.reason == "converged"
-    assert again.steps == fresh.steps == CONV_WINDOW
+    assert again.steps == CONV_WINDOW
 
 
 def test_termination_record_sup_norm_covers_ring_buffer():
@@ -427,7 +420,7 @@ def test_best_response_matches_scipy_dare():
 def test_best_response_verifies_fig1_fixed_point(fig1_game):
     # the recursion limit is a mutual best response
     trace = lq.run_recursion(fig1_game, lq.PTuple([1.0, 1.0]), 2000,
-                             stop=lq.ConvergenceStop(tol=1e-13))
+                             tol=1e-13)
     p_star = trace.final_state()
     gains = lq.riccati_step(p_star, fig1_game)[1]
     for i in range(2):
@@ -484,8 +477,7 @@ def test_single_agent_recursion_matches_dare_oracle():
         if not lq.validate_game(game).ok:
             continue
         terminal = random_pd_tuple(rng, n, 1)
-        trace = lq.run_recursion(game, terminal, 20_000,
-                                 stop=lq.ConvergenceStop())
+        trace = lq.run_recursion(game, terminal, 20_000, tol=CONV_TOL)
         assert trace.terminated.reason == "converged"
         P_ref = solve_discrete_are(A, B, Q, R)
         P = np.asarray(trace.final_state()[0])
